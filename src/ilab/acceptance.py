@@ -34,7 +34,7 @@ from .diffsets import (
 from .expsum import RationalPoint, complete_sum, crt_split, major_arc_asymptotic
 from .padic import is_intersective
 from .poly import IntPolynomial, parse_poly, preimage_symdiff
-from .sieve import SieveProfile, enumerate_w, w_member
+from .sieve import SieveProfile, enumerate_w
 
 X2 = parse_poly("x^2")
 X3 = parse_poly("x^3")
@@ -205,7 +205,7 @@ def check_7_brun(quick: bool = False) -> dict:
     rng = random.Random(7)
     probes = 2000 if quick else 10**4
     periodic = all(
-        w_member(profile, n) == w_member(profile, n + M)
+        profile.member(n) == profile.member(n + M)
         for n in (rng.randint(1, 10**9) for _ in range(probes))
     )
     return {

@@ -6,7 +6,9 @@ column order; data outcomes (a violation found, a not-intersective verdict,
 a rejected construction, no increment) exit 1, usage errors exit 2, resource
 guards exit 3.  All randomness flows from the single configured seed, and
 computation is sequential with fixed-block accumulation, so output bytes
-depend only on (config, inputs) -- never on the thread setting.
+depend only on the seed and the inputs.  Global options are --seed,
+--output and --config (a key=value file); ILAB_SEED overrides the file and
+the command line overrides both.
 """
 
 from __future__ import annotations
@@ -55,15 +57,8 @@ EXIT_RESOURCE = 3
 
 @dataclass
 class RunConfig:
-    threads: int = 1
     seed: int = 0
-    block_size: int = 4096
     output: str = "-"
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.block_size < 1 or self.block_size & (self.block_size - 1):
-            raise ValueError("block_size must be a power of two")
 
 
 def _load_config_file(path: str) -> dict:
@@ -83,20 +78,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(_load_config_file(args.config))
-    if "ILAB_THREADS" in os.environ:
-        values["threads"] = os.environ["ILAB_THREADS"]
     if "ILAB_SEED" in os.environ:
         values["seed"] = os.environ["ILAB_SEED"]
-    for key in ("threads", "seed", "block_size", "output", "format"):
+    for key in ("seed", "output"):
         arg = getattr(args, key, None)
         if arg is not None:
             values[key] = arg
     return RunConfig(
-        threads=int(values.get("threads", 1)),
         seed=int(values.get("seed", 0)),
-        block_size=int(values.get("block_size", 4096)),
         output=str(values.get("output", "-")),
-        format=str(values.get("format", "json")),
     )
 
 
@@ -250,13 +240,7 @@ def cmd_expsum_audit_sqrt(args, cfg) -> int:
         for r in rows
     ]
     if args.csv:
-        csv_cfg = RunConfig(
-            threads=cfg.threads,
-            seed=cfg.seed,
-            block_size=cfg.block_size,
-            output=args.csv,
-            format="csv",
-        )
+        csv_cfg = RunConfig(seed=cfg.seed, output=args.csv)
         emit_csv(out_rows, ["q", "a", "abs_sum", "ratio_sqrt", "omega_q", "class_tags"], csv_cfg)
         emit_json({"command": "expsum.audit-sqrt", **summary, "csv": args.csv}, cfg)
     else:
@@ -535,12 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="intersective-polynomial laboratory: sieves, exponential sums, "
         "circle-method arcs, and difference-free set search",
     )
-    ap.add_argument("--threads", type=int, default=None, help="worker hint (results never depend on it)")
     ap.add_argument("--seed", type=int, default=None, help="seed for all randomized audits/searches")
-    ap.add_argument("--block-size", dest="block_size", type=int, default=None, help="summation block size (power of two)")
     ap.add_argument("--config", default=None, help="key=value config file")
     ap.add_argument("--output", default=None, help="output path, '-' for stdout")
-    ap.add_argument("--format", choices=("json", "csv"), default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("intersect", help="intersectivity verdicts")
@@ -549,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--poly", required=True)
     c.add_argument("--prime-bound", dest="prime_bound", type=int, default=1000)
     c.add_argument("--depth", type=int, default=8)
-    c.add_argument("--json", action="store_true", help="JSON output (always on)")
     c.set_defaults(fn=cmd_intersect_check)
 
     p = sub.add_parser("aux", help="auxiliary polynomial families")
@@ -557,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = psub.add_parser("build")
     c.add_argument("--poly", required=True)
     c.add_argument("--d", type=int, required=True)
-    c.add_argument("--json", action="store_true")
     c.set_defaults(fn=cmd_aux_build)
     c = psub.add_parser("audit")
     c.add_argument("--poly", required=True)
@@ -569,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = psub.add_parser("table")
     c.add_argument("--poly", required=True)
     c.add_argument("--Y", type=float, required=True)
-    c.add_argument("--json", action="store_true")
     c.set_defaults(fn=cmd_sieve_table)
     c = psub.add_parser("count")
     c.add_argument("--poly", required=True)
@@ -625,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--K", type=float, required=True)
     c.add_argument("--theta", type=float, required=True)
-    c.add_argument("--json", action="store_true")
     c.set_defaults(fn=cmd_circle_increment)
 
     p = sub.add_parser("sets", help="difference-free set workbench")

@@ -23,8 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorize, floor_nth_root_fraction, omega
+from .padic import values_mod
 from .poly import IntPolynomial, content
-from .sieve import SieveProfile, sieved_array
+from .sieve import SieveProfile
 
 COMPLETE_SUM_LIMIT = 4 * 10**6
 WEYL_LIMIT = 10**8
@@ -95,33 +96,6 @@ def frac_mul_exact(n: int, alpha: float) -> float:
     return ((n * num) % den) / den
 
 
-def _poly_mod_values(g: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
-    """g(s) mod q vectorized; q must be small enough for int64 (q <= ~3e9 safe)."""
-    acc = np.zeros(len(s), dtype=np.int64)
-    sq = s % q
-    for c in reversed(g.coeffs):
-        acc = (acc * sq + c % q) % q
-    return acc
-
-
-def _wq_mask(profile: SieveProfile, q: int, s: np.ndarray) -> np.ndarray:
-    mask = np.ones(len(s), dtype=bool)
-    for p, (gamma, _, roots) in profile.table.items():
-        pg = p**gamma
-        if q % pg == 0 and roots:
-            mask &= ~np.isin(s % pg, np.fromiter(roots, dtype=np.int64))
-    return mask
-
-
-def _w_mask(profile: SieveProfile, s: np.ndarray) -> np.ndarray:
-    mask = np.ones(len(s), dtype=bool)
-    for p, (gamma, _, roots) in profile.table.items():
-        pg = p**gamma
-        if roots:
-            mask &= ~np.isin(s % pg, np.fromiter(roots, dtype=np.int64))
-    return mask
-
-
 def complete_sum(
     g: IntPolynomial,
     pt: RationalPoint,
@@ -136,13 +110,12 @@ def complete_sum(
     q, a = pt.q, pt.a
     if q > COMPLETE_SUM_LIMIT:
         raise ResourceLimit(f"complete sums capped at q <= {COMPLETE_SUM_LIMIT}")
-    s = np.arange(q, dtype=np.int64)
     if sieve is None:
         mask = np.ones(q, dtype=bool)
     else:
         profile, q_restrict = sieve
-        mask = _wq_mask(profile, q, s) if q_restrict else _w_mask(profile, s)
-    classes = _poly_mod_values(g, s, q)
+        mask = profile.mask(q, q if q_restrict else None)
+    classes = values_mod(g, np.arange(q, dtype=np.int64), q)
     phase_idx = (classes[mask] * (a % q)) % q
     counts = np.bincount(phase_idx, minlength=q)
     roots_of_unity = np.exp(2j * np.pi * np.arange(q) / q)
@@ -263,12 +236,11 @@ def weyl_sum(
     rat, beta = _normalize_alpha(alpha)
     n = np.arange(1, X + 1, dtype=np.int64)
     if profile is not None:
-        mask = sieved_array(profile, X)[1:]
-        n = n[mask]
+        n = n[profile.mask(X + 1)[1:]]
     q = rat.denominator
     a = rat.numerator % q
     if q <= 10**6:
-        idx = (_poly_mod_values(g, n, q) * (a % q)) % q
+        idx = (values_mod(g, n, q) * (a % q)) % q
     else:
         # denominator too large for int64 Horner; exact big-int fallback
         idx = np.array([g.eval_mod(int(t), q) * a % q for t in n.tolist()])
@@ -351,9 +323,9 @@ def major_arc_asymptotic(
     integral = oscillatory_integral(g, beta, X)
     rng = abs(g(X) - g(0))
     if beta != 0.0:
-        vdc_ok = abs(integral) <= min(rng, 1.0 / (math.pi * abs(beta))) * (1 + 1e-9)
+        vdc_ok = bool(abs(integral) <= min(rng, 1.0 / (math.pi * abs(beta))) * (1 + 1e-9))
     else:
-        vdc_ok = abs(integral) <= rng * (1 + 1e-9)
+        vdc_ok = bool(abs(integral) <= rng * (1 + 1e-9))
     main = float(pref) * S * integral
     actual = weyl_sum(g, (Fraction(pt.a, q), beta), X, profile, weighted=True).value
     abs_err = abs(main - actual)
@@ -452,12 +424,9 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
     w = float(profile.density())
     F = np.zeros(L, dtype=np.float64)
     dg = g.derivative()
-    for n in range(1, M + 1):
-        if all(
-            n % p**gamma not in roots
-            for p, (gamma, _, roots) in profile.table.items()
-        ):
-            F[g(n) % L] += dg(n)
+    n = np.flatnonzero(profile.mask(M + 1)[1:]) + 1
+    weights = np.array([dg(t) for t in n.tolist()], dtype=np.float64)
+    np.add.at(F, values_mod(g, n, L), weights)
     S = np.conj(np.fft.fft(F)) / (w * L)
     p2 = np.abs(S) ** 2
     return float(np.sum(p2 ** (m // 2)))

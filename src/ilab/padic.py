@@ -25,14 +25,24 @@ class NoRootToDepth(ValueError):
     """No certifiable p-adic root was found within the search depth."""
 
 
+def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
+    """p(s) mod q elementwise, by int64 Horner; needs q*q < 2**63."""
+    if q * q >= 2**63:
+        raise ValueError(f"int64 Horner needs q*q < 2**63, got q = {q}")
+    sq = s % q
+    acc = np.zeros(len(s), dtype=np.int64)
+    for c in reversed(p.coeffs):
+        acc *= sq
+        acc += c % q
+        acc %= q
+    return acc
+
+
 def _brute_roots(p: IntPolynomial, q: int) -> list[int]:
     """All residues r in [0, q) with q | p(r), by direct scan (q <= 1e6)."""
     if q > ROOTS_BRUTE_LIMIT:
         raise ValueError(f"brute-force root scan capped at {ROOTS_BRUTE_LIMIT}")
-    r = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    for c in reversed(p.coeffs):
-        acc = (acc * r + c % q) % q
+    acc = values_mod(p, np.arange(q, dtype=np.int64), q)
     return np.nonzero(acc == 0)[0].tolist()
 
 

@@ -105,12 +105,6 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
-    def nth_derivative(self, n: int) -> "IntPolynomial":
-        p = self
-        for _ in range(n):
-            p = p.derivative()
-        return p
-
     def eval_mod(self, x: int, m: int) -> int:
         """Horner evaluation with reduction mod m at every step."""
         acc = 0
@@ -147,14 +141,6 @@ class IntPolynomial:
 
 ZERO = IntPolynomial(())
 X = IntPolynomial((0, 1))
-
-
-def from_coeffs(*coeffs: int) -> IntPolynomial:
-    return IntPolynomial(coeffs)
-
-
-def monomial(k: int, c: int = 1) -> IntPolynomial:
-    return IntPolynomial([0] * k + [c])
 
 
 # -- text format ------------------------------------------------------------
@@ -411,14 +397,6 @@ def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int
         c = exact_div(d, a)
         d = c - b.derivative()
         i += 1
-    return out
-
-
-def radical(p: IntPolynomial) -> IntPolynomial:
-    """Product of the distinct irreducible factors (square-free part)."""
-    out = IntPolynomial((1,))
-    for f, _ in square_free_decomposition(p):
-        out = out * f
     return out
 
 

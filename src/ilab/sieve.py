@@ -74,22 +74,25 @@ class SieveProfile:
             out *= 1 - Fraction(j, p**gamma)
         return out
 
+    def _active(self, q: int | None = None):
+        """(p^gamma, roots) for every prime with roots; only p^gamma | q if q is given."""
+        for p, (gamma, _, roots) in self.table.items():
+            pg = p**gamma
+            if roots and (q is None or q % pg == 0):
+                yield pg, roots
 
-def w_member(profile: SieveProfile, n: int) -> bool:
-    """n in W(Y): g'(n) avoids every tabulated root class."""
-    for p, (gamma, _, roots) in profile.table.items():
-        if n % p**gamma in roots:
-            return False
-    return True
+    def member(self, n: int, q: int | None = None) -> bool:
+        """n in W(Y), or in W^q(Y) when q is given: g'(n) avoids every
+        active root class."""
+        return all(n % pg not in roots for pg, roots in self._active(q))
 
-
-def wq_member(profile: SieveProfile, q: int, s: int) -> bool:
-    """s in W^q(Y): only the primes with p^gamma(p) | q are tested."""
-    for p, (gamma, _, roots) in profile.table.items():
-        pg = p**gamma
-        if q % pg == 0 and s % pg in roots:
-            return False
-    return True
+    def mask(self, n: int, q: int | None = None) -> np.ndarray:
+        """Boolean membership of 0..n-1 (index = integer) in W(Y), or W^q(Y)."""
+        out = np.ones(n, dtype=bool)
+        for pg, roots in self._active(q):
+            for r in roots:
+                out[r::pg] = False
+        return out
 
 
 def _count_avoiding(items: list[tuple[int, tuple[int, ...]]], X: int) -> int:
@@ -114,44 +117,19 @@ def enumerate_w(
     """Exact |[1, X] cap W(Y)|, optionally with the member list.
 
     The count is computed by inclusion-exclusion over the per-prime root
-    classes (exact integers); the list uses a segmented numpy scan and is
-    capped at X <= 1e7.
+    classes (exact integers); the list comes from the membership mask and
+    is capped at X <= 1e7.
     """
     if X < 1:
         return 0, ([] if want_list else None)
-    items = [
-        (p**gamma, roots)
-        for p, (gamma, _, roots) in sorted(profile.table.items())
-        if roots
-    ]
-    count = _count_avoiding(items, X)
+    count = _count_avoiding(list(profile._active()), X)
     members = None
     if want_list:
         if X > LIST_LIMIT:
             raise MemoryError(f"member list capped at X <= {LIST_LIMIT}")
-        mask = np.ones(X + 1, dtype=bool)
-        mask[0] = False
-        for pg, roots in items:
-            for r in roots:
-                start = r if r >= 1 else pg
-                mask[start :: pg] = False
-        members = np.nonzero(mask)[0].tolist()
+        members = (np.flatnonzero(profile.mask(X + 1)[1:]) + 1).tolist()
         assert len(members) == count
     return count, members
-
-
-def sieved_array(profile: SieveProfile, X: int) -> np.ndarray:
-    """Boolean membership mask of W(Y) over [0, X] (index = n)."""
-    if X > LIST_LIMIT * 10:
-        raise MemoryError("membership mask too large")
-    mask = np.ones(X + 1, dtype=bool)
-    mask[0] = False
-    for p, (gamma, _, roots) in profile.table.items():
-        pg = p**gamma
-        for r in roots:
-            start = r if r >= 1 else pg
-            mask[start::pg] = False
-    return mask
 
 
 @dataclass

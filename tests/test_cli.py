@@ -135,10 +135,6 @@ class TestPlumbing:
         assert code == 0
         assert json.loads(out_path.read_text())["lambda_d"] == 16
 
-    def test_block_size_must_be_power_of_two(self, capsys):
-        code, _ = run_cli(capsys, "--block-size", "3000", "aux", "build", "--poly", "x^2", "--d", "2")
-        assert code == 2
-
     def test_csv_commands(self, capsys):
         code, out = run_cli(capsys, "sieve", "count", "--poly", "x^2", "--Y", "5", "--X", "1000")
         assert code == 0
@@ -161,6 +157,8 @@ class TestPlumbing:
             ("sieve", "table", "--poly", "x^3", "--Y", "10"),
             ("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3",
              "--beta", "0", "--X", "10000", "--Y", "10"),
+            ("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3",
+             "--beta", "0.0001", "--X", "1000", "--Y", "10"),
             ("expsum", "moment", "--poly", "x^2", "--L", "3000", "--m", "6", "--Y", "10"),
             ("circle", "dft", "--set", str(f)),
             ("circle", "arcs", "--N", "1000", "--K", "5", "--Q", "9", "--t", "333"),

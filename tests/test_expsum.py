@@ -26,7 +26,7 @@ from ilab.expsum import (
     weyl_sum,
 )
 from ilab.poly import parse_poly
-from ilab.sieve import SieveProfile, sieved_array
+from ilab.sieve import SieveProfile
 
 X2 = parse_poly("x^2")
 X3 = parse_poly("x^3")
@@ -209,7 +209,7 @@ class TestWeylSum:
     def test_sieved_sum_matches_mask(self):
         pr = SieveProfile.build(X2, 10)
         X = 500
-        mask = sieved_array(pr, X)
+        mask = pr.mask(X + 1)
         direct = sum(
             2 * n * cmath.exp(2j * cmath.pi * (n * n % 3) / 3)
             for n in range(1, X + 1)

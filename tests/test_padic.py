@@ -18,6 +18,7 @@ from ilab.padic import (
     is_intersective,
     rational_roots,
     roots_mod,
+    values_mod,
 )
 from ilab.poly import IntPolynomial, parse_poly
 
@@ -30,6 +31,24 @@ def random_poly(rng, deg_max=4, coeff=30):
     cs = [rng.randint(-coeff, coeff) for _ in range(k)]
     cs.append(rng.choice([c for c in range(-coeff, coeff + 1) if c]))
     return IntPolynomial(cs)
+
+
+class TestValuesMod:
+    def test_matches_eval_mod(self):
+        rng = random.Random(120)
+        for _ in range(60):
+            g = random_poly(rng, deg_max=6, coeff=10**6)
+            q = rng.choice([1, 2, 7, 97, 3**9, 10**6 + 3, rng.randint(1, 3 * 10**9)])
+            s = np.array([rng.randint(-10**12, 10**12) for _ in range(50)] + [0, 1, -1])
+            got = values_mod(g, s, q)
+            assert got.tolist() == [g.eval_mod(int(t), q) for t in s]
+
+    def test_int64_guard(self):
+        q = math.isqrt(2**63 - 1)  # largest q with q*q < 2**63
+        s = np.arange(5, dtype=np.int64)
+        assert values_mod(X2, s, q).tolist() == [t * t % q for t in range(5)]
+        with pytest.raises(ValueError):
+            values_mod(X2, s, q + 1)
 
 
 class TestRootsMod:

@@ -14,8 +14,6 @@ from ilab.sieve import (
     gamma_j,
     is_identically_zero_mod,
     product_lower_check,
-    w_member,
-    wq_member,
 )
 
 X2 = parse_poly("x^2")
@@ -64,18 +62,18 @@ class TestMembership:
     def test_w_member_examples(self):
         pr = SieveProfile.build(X2, 10)
         # 7 is sieved out by p = 7 itself (2*7 = 0 mod 7); 11 survives
-        assert not w_member(pr, 7)
-        assert w_member(pr, 11)
-        assert not w_member(pr, 6)
+        assert not pr.member(7)
+        assert pr.member(11)
+        assert not pr.member(6)
         pr3 = SieveProfile.build(X3, 3)
-        assert not w_member(pr3, 4)  # 3*16 = 0 mod 2 at the root class 0
+        assert not pr3.member(4)  # 3*16 = 0 mod 2 at the root class 0
 
     def test_wq_member_examples(self):
         pr = SieveProfile.build(X2, 10)
-        assert wq_member(pr, 1, 5)  # empty condition
-        assert wq_member(pr, 4, 1)
-        assert not wq_member(pr, 4, 2)
-        assert not wq_member(pr, 3, 0)
+        assert pr.member(5, 1)  # empty condition
+        assert pr.member(1, 4)
+        assert not pr.member(2, 4)
+        assert not pr.member(0, 3)
 
     def test_periodicity(self):
         rng = random.Random(401)
@@ -84,7 +82,32 @@ class TestMembership:
             M = profile.modulus
             for _ in range(50):
                 n = rng.randint(1, 10**6)
-                assert w_member(profile, n) == w_member(profile, n + M)
+                assert profile.member(n) == profile.member(n + M)
+
+    def test_mask_matches_member(self):
+        # the strided mask against the scalar test, index 0 included
+        rng = random.Random(403)
+        for _ in range(40):
+            profile = random_profile(rng)
+            moduli = [p**gamma for p, (gamma, j, _) in profile.table.items() if j]
+            qs = [None, rng.randint(1, 10**4)]
+            if moduli:
+                qs.append(rng.choice(moduli) * rng.randint(1, 12))
+            # a q divisible by no p^gamma of the table
+            qs.append(next(q for q in range(13, 10**4) if all(q % m for m in moduli)))
+            n = rng.randint(1, 2000)
+            for q in qs:
+                mask = profile.mask(n, q)
+                assert len(mask) == n
+                assert mask.tolist() == [profile.member(i, q) for i in range(n)]
+
+    def test_mask_index_zero(self):
+        pr = SieveProfile.build(X2, 10)
+        assert not pr.mask(5)[0] and not pr.member(0)  # g'(0) = 0 at every p
+        g = parse_poly("x^2+x")  # g'(0) = 1 avoids every root class
+        pr = SieveProfile.build(g, 10)
+        assert pr.mask(5)[0] and pr.member(0)
+        assert SieveProfile.build(X2, 1.5).mask(3).all()
 
 
 class TestCounting:
@@ -98,7 +121,7 @@ class TestCounting:
 
     def test_x3_profile_brute(self):
         pr = SieveProfile.build(X3, 3)
-        brute = sum(1 for n in range(1, 21) if w_member(pr, n))
+        brute = sum(1 for n in range(1, 21) if pr.member(n))
         assert enumerate_w(pr, 20)[0] == brute
 
     def test_inclusion_exclusion_equals_scan(self):
@@ -109,7 +132,7 @@ class TestCounting:
             count, members = enumerate_w(profile, X, want_list=True)
             assert count == len(members)
             sample = rng.sample(members, min(20, len(members))) if members else []
-            assert all(w_member(profile, n) for n in sample)
+            assert all(profile.member(n) for n in sample)
 
     def test_count_monotone_and_periodic_exact(self):
         profile = SieveProfile.build(X2, 5)
