@@ -10,6 +10,7 @@ c ~ 0.7334 for squares.
 
 from ilab.diffsets import (
     DiffFreeInstance,
+    ModularInstance,
     density_table,
     exhaustive_max,
     greedy,
@@ -18,6 +19,7 @@ from ilab.diffsets import (
     ruzsa_lift,
     trivial_multiples,
     verify,
+    verify_modular,
 )
 from ilab.poly import parse_poly
 
@@ -47,7 +49,8 @@ print("  MODULAR SEARCH AT q = 205 (squares mod 205)")
 print("=" * 72)
 res = modular_search(205, 2, budget=10**9, seed=0, target=12)
 print(f"  best |B| = {res.size} (target 12), set = {list(res.best)}")
-print(f"  re-verified: {res.verified}; nodes explored: {res.nodes}")
+verified = verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
+print(f"  re-verified: {verified}; nodes explored: {res.nodes}")
 c = ruzsa_exponent(205, res.size, 2)
 print(f"  lift exponent c = (k-1 + log|B|/log q)/k = {c:.4f}")
 

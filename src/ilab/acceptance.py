@@ -25,11 +25,13 @@ from .circle import (
 )
 from .diffsets import (
     DiffFreeInstance,
+    ModularInstance,
     brute_force_verify,
     modular_search,
     ruzsa_exponent,
     trivial_multiples,
     verify,
+    verify_modular,
 )
 from .expsum import RationalPoint, complete_sum, crt_split, major_arc_asymptotic
 from .padic import is_intersective
@@ -364,7 +366,7 @@ def check_12_modular(quick: bool = False, budget: int = 10**9) -> dict:
         and r5.optimal
         and abs(c - 0.7334) <= 1e-4
         and r205.size >= 10
-        and r205.verified
+        and verify_modular(r205.best, 205, ModularInstance.build(205, 2).D)
     )
     return {
         "criterion": 12,

@@ -103,8 +103,6 @@ class ContentAuditReport:
     max_content: int
     argmax_d: int
     max_ratio: float
-    passed: bool
-    checked: int = 0
 
 
 def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
@@ -138,8 +136,6 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
         max_content=max_c,
         argmax_d=argmax,
         max_ratio=max_ratio,
-        passed=True,
-        checked=d_max,
     )
 
 

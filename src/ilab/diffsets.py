@@ -72,6 +72,8 @@ class DiffFreeInstance:
     def __init__(
         self, N: int, generators: Sequence[IntPolynomial], members
     ):
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
         self.N = N
         self.generators = tuple(generators)
         self.members = frozenset(int(m) for m in members)
@@ -224,7 +226,6 @@ class SearchResult:
     optimal: bool
     nodes: int
     upper_bound: int
-    verified: bool
 
 
 def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
@@ -261,6 +262,10 @@ def modular_search(
     `target` is reached (best-effort semantics) and reports optimal=True only
     if the tree was exhausted.  The returned set is always re-verified.
     """
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if mode == "exhaustive" and q > 32:
         raise ValueError("exhaustive mode requires q <= 32")
     inst = ModularInstance.build(q, k)
@@ -336,15 +341,13 @@ def modular_search(
             stack.append((size + 1, chosen | (1 << v), cand & ~(adj[v] | (1 << v))))
 
     members = tuple(sorted(v for v in range(q) if best_bits & (1 << v)))
-    verified = verify_modular(members, q, inst.D)
-    assert verified, "search produced an invalid set"
+    assert verify_modular(members, q, inst.D), "search produced an invalid set"
     return SearchResult(
         best=members,
         size=len(members),
         optimal=exhausted,
         nodes=nodes,
         upper_bound=root_bound,
-        verified=verified,
     )
 
 
@@ -385,6 +388,9 @@ def ruzsa_lift(
     B = sorted(set(int(b) % q for b in B))
     if not B:
         raise ValueError("B must be nonempty")
+    # translate so that 0 is in B: the top digit may then be 0, so the lift is
+    # never empty; a translate of a difference-free set is difference-free
+    B = [b - B[0] for b in B]
     for p, e in factorize(q):
         if e > 1:
             raise ValueError("q must be squarefree")

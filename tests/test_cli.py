@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ilab.cli import main
+from ilab.cli import build_parser, main
 from ilab.setio import load_set, runs_of, save_dfset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,6 +68,44 @@ class TestExitCodes:
         code, out = run_cli(capsys, "sets", "verify", "--gens", "x^2", "--set", str(f), "--N", "10")
         assert code == 1
         assert json.loads(out)["violation"]["decomposition"] == [1]
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (("circle", "dft", "--set", "{missing}"), "No such file"),
+            (("sets", "search", "--q", "0", "--k", "2"), "q must be"),
+            (("sets", "search", "--q", "1", "--k", "2"), "q must be"),
+            (("sets", "search", "--q", "5", "--k", "0"), "k must be"),
+            (("sets", "greedy", "--gens", "x^2", "--N", "0"), "N must be"),
+            (("sets", "ruzsa", "--B", "0,2", "--q", "5", "--k", "2", "--N", "0"), "N must be"),
+        ],
+        ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
+             "ruzsa-N0"],
+    )
+    def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
+        code = main([a.format(missing=tmp_path / "missing.dfset") for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+
+    def test_stdout_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        code, out = run_cli(
+            capsys,
+            "expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3",
+            "--beta", "0", "--X", "0", "--Y", "10",
+        )
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["rel_err"] is None
+
+    def test_parser_built_once(self, capsys):
+        run_cli(capsys, "aux", "build", "--poly", "x^2", "--d", "4")
+        run_cli(capsys, "aux", "build", "--poly", "x^2", "--d", "5")
+        assert build_parser.cache_info().misses == 1
 
 
 class TestSchema:

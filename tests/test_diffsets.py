@@ -114,7 +114,8 @@ class TestTrivialMultiples:
 class TestModularSearch:
     def test_q5_exhaustive(self):
         res = modular_search(5, 2, mode="exhaustive")
-        assert res.size == 2 and res.optimal and res.verified
+        assert res.size == 2 and res.optimal
+        assert verify_modular(res.best, 5, ModularInstance.build(5, 2).D)
 
     def test_q2(self):
         res = modular_search(2, 2, mode="exhaustive")
@@ -160,12 +161,11 @@ class TestModularSearch:
         res = modular_search(205, 2, budget=500, seed=1)
         assert not res.optimal
         assert res.nodes <= 501
-        assert res.verified
+        assert verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
 
     def test_q205_reaches_twelve(self):
         res = modular_search(205, 2, budget=10**9, seed=0, target=12)
         assert res.size >= 12
-        assert res.verified
         assert verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
 
     def test_symmetry_recorded(self):
@@ -233,6 +233,14 @@ class TestRuzsa:
         else:
             v = out.violation
             assert v.a - v.a_prime == sum(v.decomposition)
+
+    def test_lift_translates_b_to_contain_zero(self):
+        # {2, 4} is the translate {0, 2} + 2; without translating, the top
+        # digit would have to be >= 2 and the lift of [1, 30] would be empty
+        out = ruzsa_lift({2, 4}, 5, 2, 30)
+        assert isinstance(out, DiffFreeInstance)
+        assert len(out) == len(ruzsa_lift({0, 2}, 5, 2, 30)) > 0
+        assert verify(out) is None
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
