@@ -18,6 +18,7 @@ from .poly import (
     content,
     discriminant_abs,
     shift_scale,
+    square_free_decomposition,
 )
 
 
@@ -36,6 +37,7 @@ class AuxiliaryFamily:
             raise ValueError("base must have positive leading coefficient")
         self.base = base
         self.depth = depth
+        self._factors = square_free_decomposition(base)
         self._certs: dict[int, RootCert] = dict(certs) if certs else {}
         self._r: dict[int, int] = {1: 0}
         self._lambda: dict[int, int] = {1: 1}
@@ -44,7 +46,7 @@ class AuxiliaryFamily:
     def cert(self, p: int) -> RootCert:
         """Root certificate at p, choosing one deterministically on demand."""
         if p not in self._certs:
-            self._certs[p] = choose_root(self.base, p, self.depth)
+            self._certs[p] = choose_root(self.base, p, self.depth, self._factors)
         return self._certs[p]
 
     def lam(self, d: int) -> int:

@@ -473,9 +473,9 @@ def density_table(
     """Rows (N, method, size, density, fs_bound_shape, exp_bound_shape).
 
     The bound shapes are plotted with c = 1 and are reference-only:
-    fs = (log N)^(-log log log log N) (blank when the iterated log is
-    undefined at desk scale) and exp = exp(-sqrt(log N)) (the two-polynomial
-    shape at mu = 1/2).
+    fs = (log N)^(-log log log log N) (None, a blank CSV field, when the
+    iterated log is undefined at desk scale) and exp = exp(-sqrt(log N))
+    (the two-polynomial shape at mu = 1/2).
     """
     is_pure_power = (
         len(generators) == 1
@@ -494,7 +494,7 @@ def density_table(
                 ok = False
                 break
             l4 = math.log(l4)
-        shapes["fs_bound_shape"] = l1 ** (-l4) if ok else float("nan")
+        shapes["fs_bound_shape"] = l1 ** (-l4) if ok else None
         for method in methods:
             if method == "greedy":
                 inst = greedy(N, generators)

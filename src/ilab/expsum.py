@@ -25,15 +25,11 @@ import numpy as np
 from .arith import factorize, floor_nth_root_fraction, omega
 from .padic import values_mod
 from .poly import IntPolynomial, content
-from .sieve import SieveProfile
+from .sieve import ResourceLimit, SieveProfile
 
 COMPLETE_SUM_LIMIT = 4 * 10**6
 WEYL_LIMIT = 10**8
 DEFAULT_BLOCK = 4096
-
-
-class ResourceLimit(RuntimeError):
-    """Desk-scale guard tripped."""
 
 
 @dataclass(frozen=True)
@@ -46,8 +42,9 @@ class RationalPoint:
     def __post_init__(self):
         if self.q < 1 or not 0 <= self.a < self.q:
             raise ValueError("need 0 <= a < q, q >= 1")
-        if math.gcd(self.a, self.q) != 1:
-            raise ValueError("a/q must be reduced")
+        g = math.gcd(self.a, self.q)
+        if g != 1:
+            raise ValueError(f"a/q must be reduced: a = {self.a}, q = {self.q}, gcd = {g}")
 
     @property
     def omega_q(self) -> int:

@@ -26,15 +26,25 @@ class NoRootToDepth(ValueError):
 
 
 def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
-    """p(s) mod q elementwise, by int64 Horner; needs q*q < 2**63."""
+    """p(s) mod q elementwise, by int64 Horner; needs q*q < 2**63.
+
+    Every term is non-negative, so the accumulator is reduced only when the
+    next step could pass 2**63 (tracked by an exact bound): small q takes
+    several Horner steps per modulo.
+    """
     if q * q >= 2**63:
         raise ValueError(f"int64 Horner needs q*q < 2**63, got q = {q}")
     sq = s % q
     acc = np.zeros(len(s), dtype=np.int64)
+    bound = 0  # acc <= bound elementwise
     for c in reversed(p.coeffs):
+        if (bound + 1) * (q - 1) >= 2**63:
+            acc %= q
+            bound = q - 1
         acc *= sq
         acc += c % q
-        acc %= q
+        bound = (bound + 1) * (q - 1)
+    acc %= q
     return acc
 
 
@@ -255,9 +265,23 @@ def _hensel_candidate(
     exhausted first.
     """
     df = f.derivative()
-    roots = _brute_roots(f, p) if p <= ROOTS_BRUTE_LIMIT else None
-    if roots is None:
+    if p > ROOTS_BRUTE_LIMIT:
         raise ValueError("prime too large for root scan")
+    # At j = 1 every simple root mod p is a witness with v = 0, so the
+    # smallest one decides; scan ascending in growing chunks and stop there.
+    # Without a simple root the scan has collected every root mod p.
+    roots: list[int] = []
+    lo, step = 0, max(64, p // 4)
+    while lo < p:
+        hi = min(p, lo + step)
+        chunk = np.arange(lo, hi, dtype=np.int64)
+        found = chunk[values_mod(f, chunk, p) == 0]
+        if len(found):
+            simple = found[values_mod(df, found, p) != 0]
+            if len(simple):
+                return 1, int(simple[0]), 0
+            roots.extend(found.tolist())
+        lo, step = hi, 2 * step
     for j in range(1, depth + 1):
         pj = p**j
         witnesses = []
@@ -299,7 +323,12 @@ def exact_cert(
     raise ValueError(f"{root} is not a root of {h}")
 
 
-def choose_root(h: IntPolynomial, p: int, depth: int = 8) -> RootCert:
+def choose_root(
+    h: IntPolynomial,
+    p: int,
+    depth: int = 8,
+    factors: list[tuple[IntPolynomial, int]] | None = None,
+) -> RootCert:
     """Deterministic p-adic root certificate for h at p.
 
     Policy: square-free factors are scanned in order of increasing
@@ -307,12 +336,16 @@ def choose_root(h: IntPolynomial, p: int, depth: int = 8) -> RootCert:
     ties broken by smallest residue.  If no bounded Hensel witness exists
     for a factor, its exact rational roots with denominator coprime to p
     are used instead.  Raises NoRootToDepth when every factor fails.
+    Callers certifying many primes pass square_free_decomposition(h) as
+    factors, so it is computed once rather than per prime.
     """
     if h.is_zero:
         raise ValueError("zero polynomial has every residue as a root")
     if h.degree < 1:
         raise NoRootToDepth(f"constant polynomial has no p-adic root at p={p}")
-    for f, u in square_free_decomposition(h):
+    if factors is None:
+        factors = square_free_decomposition(h)
+    for f, u in factors:
         cand = _hensel_candidate(f, p, depth)
         if cand is not None:
             j, z, v = cand
@@ -400,9 +433,10 @@ def is_intersective(
     # certify each tested prime; a certified prime has roots at every precision
     certs: dict[int, RootCert] = {}
     failed: list[int] = []
+    factors = square_free_decomposition(h)
     for p in primes:
         try:
-            certs[p] = choose_root(h, p, depth)
+            certs[p] = choose_root(h, p, depth, factors)
         except NoRootToDepth:
             failed.append(p)
 

@@ -259,16 +259,21 @@ def shift_scale(p: IntPolynomial, r: int, d: int, lam: int) -> IntPolynomial:
     """
     if d < 1 or lam < 1:
         raise ValueError("d and lam must be positive")
-    inner = IntPolynomial((r, d))
-    comp = ZERO
-    for c in reversed(p.coeffs):
-        comp = comp * inner + IntPolynomial((c,))
+    # Taylor shift p(x + r) by repeated synthetic division, on plain ints
+    a = list(p.coeffs)
+    k = len(a) - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            a[j] += r * a[j + 1]
     out = []
-    for i, c in enumerate(comp.coeffs):
+    dpow = 1
+    for i, c in enumerate(a):
+        c *= dpow
         q, rem = divmod(c, lam)
         if rem:
             raise IntegralityError(i, c, lam)
         out.append(q)
+        dpow *= d
     return IntPolynomial(out)
 
 

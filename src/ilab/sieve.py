@@ -20,6 +20,11 @@ from .padic import roots_mod
 from .poly import IntPolynomial
 
 LIST_LIMIT = 10**7
+COUNT_NODE_LIMIT = 10**7
+
+
+class ResourceLimit(RuntimeError):
+    """Desk-scale guard tripped."""
 
 
 def is_identically_zero_mod(f: IntPolynomial, m: int) -> bool:
@@ -96,16 +101,34 @@ class SieveProfile:
 
 
 def _count_avoiding(items: list[tuple[int, tuple[int, ...]]], X: int) -> int:
-    """|{n in [1, X] avoiding every root class}| by CRT inclusion-exclusion."""
+    """|{n in [1, X] avoiding every root class}| by CRT inclusion-exclusion.
+
+    Each node fixes one root class at each of some primes; once the CRT
+    modulus exceeds X at most one n in [1, X] is left in the class, and it
+    is tested against the remaining primes directly (Legendre's truncation).
+    The number of nodes is capped at COUNT_NODE_LIMIT.
+    """
+    classes = [(pg, frozenset(roots)) for pg, roots in items]
+    nodes = 0
 
     def rec(i: int, a: int, m: int) -> int:
-        if i == len(items):
-            return count_congruent_in_range(X, a % m, m)
-        pg, roots = items[i]
-        total = rec(i + 1, a, m)
-        for r in roots:
-            aa, mm = crt_pair(a, m, r, pg)
-            total -= rec(i + 1, aa, mm)
+        # count of n = a mod m in [1, X] avoiding the classes of items[i:]:
+        # every n that hits one is subtracted once, at the last item it hits
+        nonlocal nodes
+        nodes += 1
+        if nodes > COUNT_NODE_LIMIT:
+            raise ResourceLimit(
+                f"exact sieve count capped at {COUNT_NODE_LIMIT} inclusion-exclusion nodes"
+            )
+        if m > X:
+            n = a % m
+            return int(0 < n <= X and all(n % pg not in rs for pg, rs in classes[i:]))
+        total = count_congruent_in_range(X, a % m, m)
+        for k in range(i, len(classes)):
+            pg, rs = classes[k]
+            for r in rs:
+                aa, mm = crt_pair(a, m, r, pg)
+                total -= rec(k + 1, aa, mm)
         return total
 
     return rec(0, 0, 1)

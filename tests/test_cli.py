@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, JSON schema conformance, set-file
 round trips, and config plumbing."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -62,6 +64,14 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "expsum", "complete", "--poly", "x^2", "-a", "1", "-q", "9999991")
         assert code == 3
 
+    def test_exact_count_node_guard_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr("ilab.sieve.COUNT_NODE_LIMIT", 1000)
+        code = main(["sieve", "count", "--poly", "x^2", "--Y", "66", "--X", "10000000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
+        assert "1000 inclusion-exclusion nodes" in captured.err
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")
@@ -78,9 +88,11 @@ class TestExitCodes:
             (("sets", "search", "--q", "5", "--k", "0"), "k must be"),
             (("sets", "greedy", "--gens", "x^2", "--N", "0"), "N must be"),
             (("sets", "ruzsa", "--B", "0,2", "--q", "5", "--k", "2", "--N", "0"), "N must be"),
+            (("expsum", "complete", "--poly", "x^3", "-a", "5", "-q", "360"),
+             "a = 5, q = 360, gcd = 5"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
-             "ruzsa-N0"],
+             "ruzsa-N0", "unreduced-a-q"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         code = main([a.format(missing=tmp_path / "missing.dfset") for a in argv])
@@ -186,6 +198,14 @@ class TestPlumbing:
         lines = out.strip().splitlines()
         assert lines[0] == "N,method,size,density,fs_bound_shape,exp_bound_shape"
         assert len(lines) == 5  # header + (greedy, trivial) x 2
+
+    def test_density_table_blank_where_shape_undefined(self, capsys):
+        # log log log log 10 is undefined: the fs shape is a blank field, not nan
+        code, out = run_cli(capsys, "sets", "table", "--gens", "x^2", "--Ns", "10")
+        assert code == 0
+        assert "nan" not in out.lower()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(r["fs_bound_shape"] == "" for r in rows)
 
     def test_remaining_subcommands_run(self, capsys, tmp_path):
         f = tmp_path / "b.dfset"

@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ilab.arith import crt_pair
+from ilab.arith import crt_pair, factorize
 from ilab.padic import (
     HenselConditionError,
     NoRootToDepth,
+    _prime_power_roots,
     choose_root,
     exact_cert,
     hensel_lift,
@@ -20,7 +21,7 @@ from ilab.padic import (
     roots_mod,
     values_mod,
 )
-from ilab.poly import IntPolynomial, parse_poly
+from ilab.poly import IntPolynomial, parse_poly, square_free_decomposition
 
 X2 = parse_poly("x^2")
 QUINTIC = parse_poly("(x^3-19)(x^2+x+1)")
@@ -42,6 +43,18 @@ class TestValuesMod:
             s = np.array([rng.randint(-10**12, 10**12) for _ in range(50)] + [0, 1, -1])
             got = values_mod(g, s, q)
             assert got.tolist() == [g.eval_mod(int(t), q) for t in s]
+
+    def test_lazy_reduction_at_the_int64_edge(self):
+        # coefficients and inputs at q - 1 drive the accumulator to its
+        # bound; q^e just below and above 2^63 puts a reduction at the edge
+        for e in (2, 3, 4, 5):
+            base = round(2 ** (63 / e))
+            for q in range(base - 3, base + 4):
+                if q * q >= 2**63:
+                    continue
+                g = IntPolynomial([q - 1] * 9)
+                s = np.array([q - 1, q - 2, 1, 0], dtype=np.int64)
+                assert values_mod(g, s, q).tolist() == [g.eval_mod(int(t), q) for t in s]
 
     def test_int64_guard(self):
         q = math.isqrt(2**63 - 1)  # largest q with q*q < 2**63
@@ -86,6 +99,25 @@ class TestRootsMod:
             acc = (acc * r + c % q) % q
         expect = np.nonzero(acc == 0)[0].tolist()
         assert got == expect
+
+    def test_against_sympy_polynomial_congruence(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.ntheory.residue_ntheory import polynomial_congruence
+
+        rng = random.Random(204)
+        x = sympy.symbols("x")
+        moduli = [2, 3, 5, 7, 11, 13, 31, 97, 4, 8, 32, 9, 27, 243, 25, 125, 49, 121]
+        for _ in range(60):
+            p = random_poly(rng, deg_max=4, coeff=20)
+            if rng.random() < 0.4:
+                lin = random_poly(rng, deg_max=1, coeff=4)
+                p = p * lin * lin  # a repeated root: the singular lifting branch
+            q = rng.choice(moduli)
+            expr = sum(c * x**i for i, c in enumerate(p.coeffs))
+            want = sorted(int(r) for r in polynomial_congruence(expr, q))
+            assert roots_mod(p, q) == want
+            (prime, e), = factorize(q)
+            assert _prime_power_roots(p, prime, e) == want
 
     def test_composite_large_modulus(self):
         q = 2**21 * 5  # > brute limit, composite
@@ -146,6 +178,19 @@ class TestChooseRoot:
         # the cubic factor supplies the lift: residue mod 27 must be a root
         for e in (1, 2, 3):
             assert c.residue_mod(e) in roots_mod(QUINTIC, 3**e)
+
+    def test_first_simple_root_at_every_position(self):
+        # a double root mod p at 3 (from x-3 and x-3-p) precedes the simple
+        # root b, which sweeps every residue: the scan must neither skip nor
+        # stop early anywhere, whatever its chunking
+        for prime in (97, 257, 1031):
+            for b in range(prime):
+                if b == 3:
+                    continue  # (x-3)^2 would leave the decomposition's first factor
+                f = parse_poly(f"(x-3)(x-{3 + prime})") * IntPolynomial((-b, 1))
+                assert (f.degree, len(square_free_decomposition(f))) == (3, 1)
+                c = choose_root(f, prime, 2)
+                assert (c.j, c.z, c.v) == (1, b, 0)
 
     def test_no_root_raises(self):
         with pytest.raises(NoRootToDepth):

@@ -161,6 +161,27 @@ class TestSquareFree:
             for f, _ in factors:
                 assert poly_gcd(f, f.derivative()).degree == 0
 
+    def test_against_sympy_sqf_list(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(110)
+        x = sympy.symbols("x")
+        for _ in range(80):
+            p = random_poly(rng, deg_max=3, coeff=9)
+            for _ in range(rng.randint(0, 2)):
+                p = p * random_poly(rng, deg_max=2, coeff=5)
+            if rng.random() < 0.5:
+                p = p * p
+            if p.degree < 1:
+                continue
+            expr = sum(c * x**i for i, c in enumerate(p.coeffs))
+            _, expected = sympy.sqf_list(sympy.Poly(expr, x))
+            want = sorted(
+                (m, primitive_part(IntPolynomial(int(c) for c in reversed(f.all_coeffs()))).coeffs)
+                for f, m in expected
+            )
+            got = sorted((m, f.coeffs) for f, m in square_free_decomposition(p))
+            assert got == want
+
     def test_exact_div(self):
         p = parse_poly("(x-1)(x-1)(x-2)")
         assert exact_div(p, parse_poly("x-1")) == parse_poly("(x-1)(x-2)")
@@ -175,6 +196,11 @@ class TestShiftScale:
         with pytest.raises(IntegralityError) as exc:
             shift_scale(X2, 1, 2, 4)
         assert exc.value.index == 0
+        # (x-1)(x-2)(x-3) at r = 1, d = 2: 8x^3 - 12x^2 + 4x; 8 | x^3 but not x^2
+        with pytest.raises(IntegralityError) as exc:
+            shift_scale(parse_poly("(x-1)(x-2)(x-3)"), 1, 2, 8)
+        assert (exc.value.index, exc.value.numerator, exc.value.divisor) == (1, 4, 8)
+        assert shift_scale(parse_poly("(x-1)(x-2)(x-3)"), 1, 2, 4) == parse_poly("2x^3-3x^2+x")
 
     def test_lam_one_is_composition(self):
         rng = random.Random(108)

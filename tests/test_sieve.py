@@ -134,6 +134,15 @@ class TestCounting:
             sample = rng.sample(members, min(20, len(members))) if members else []
             assert all(profile.member(n) for n in sample)
 
+    @pytest.mark.parametrize("X", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("poly", ["x^2", "x^3", "(x^3-19)(x^2+x+1)"])
+    def test_pruned_count_equals_mask(self, poly, X):
+        # Y up to 60 puts the CRT modulus past X after a few primes, so the
+        # pruned branch decides most of the count; the mask is the oracle
+        for Y in (10, 30, 60):
+            profile = SieveProfile.build(parse_poly(poly), Y)
+            assert enumerate_w(profile, X)[0] == int(profile.mask(X + 1)[1:].sum())
+
     def test_count_monotone_and_periodic_exact(self):
         profile = SieveProfile.build(X2, 5)
         M = profile.modulus
