@@ -42,14 +42,18 @@ def dft_indicator(A: Iterable[int], N: int) -> FourierData:
     """
     if N < 1 or N > DFT_LIMIT:
         raise MemoryError(f"N must be in [1, {DFT_LIMIT}]")
-    vec = np.zeros(N, dtype=np.float64)
-    count = 0
-    for a in A:
-        if not 1 <= a <= N:
-            raise ValueError(f"set element {a} outside [1, N]")
-        vec[a % N] = 1.0
-        count += 1
-    return FourierData(N=N, values=np.fft.fft(vec) / N, source_size=count)
+    try:
+        idx = np.fromiter(A, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("set element outside [1, N] (beyond int64)") from None
+    bad = np.flatnonzero((idx < 1) | (idx > N))
+    if len(bad):
+        raise ValueError(f"set element {idx[bad[0]]} outside [1, N]")
+    vec = np.zeros(N, dtype=np.complex128)
+    vec[idx % N] = 1.0
+    values = np.fft.fft(vec, out=vec)
+    values /= N
+    return FourierData(N=N, values=values, source_size=len(idx))
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,27 @@ class NoIncrement:
     required_mass: float = 0.0
 
 
+def correlation_counts(B: set[int], L: int, q: int, X: int) -> np.ndarray:
+    """c[x] = |B cap (P + x)| for every x in Z_L, P = {q, 2q, ..., Xq} mod L.
+
+    One real FFT correlation; each buffer is released once consumed, and
+    the counts are exact integers after rounding.
+    """
+    vec = np.zeros(L, dtype=np.float64)
+    vec[np.fromiter(B, dtype=np.int64, count=len(B)) % L] = 1.0
+    fb = np.fft.rfft(vec)
+    vec[:] = 0.0
+    vec[np.arange(1, X + 1, dtype=np.int64) * q % L] = 1.0
+    fp = np.fft.rfft(vec)
+    del vec
+    np.conjugate(fp, out=fp)
+    fb *= fp
+    del fp
+    corr = np.fft.irfft(fb, n=L)
+    del fb
+    return np.rint(corr).astype(np.int64)
+
+
 def extract_progression(
     B: set[int],
     L: int,
@@ -183,8 +208,7 @@ def extract_progression(
         raise ValueError("theta must be in (0, 1]")
     K_f = Fraction(K)
 
-    fd = dft_indicator(B, L)
-    mass = arc_mass_divisors(fd, q, K_f)
+    mass = arc_mass_divisors(dft_indicator(B, L), q, K_f)
     required = float(theta_f * sigma * sigma)
     if mass < required:
         return NoIncrement("insufficient arc mass", mass=mass, required_mass=required)
@@ -195,14 +219,7 @@ def extract_progression(
 
     threshold = sigma * (1 + theta_f / 16)
 
-    # correlation counts c[x] = |B cap (P + x)| for all x in Z_L, via FFT
-    bvec = np.zeros(L, dtype=np.float64)
-    for b in B:
-        bvec[b % L] = 1.0
-    pvec = np.zeros(L, dtype=np.float64)
-    pvec[np.arange(1, X + 1, dtype=np.int64) * q % L] = 1.0
-    corr = np.fft.ifft(np.fft.fft(bvec) * np.conj(np.fft.fft(pvec))).real
-    counts = np.rint(corr).astype(np.int64)
+    counts = correlation_counts(B, L, q, X)
 
     def lifted_pieces(x: int) -> list[tuple[int, int]]:
         """(start, length) pieces of P + x as genuine integer progressions."""

@@ -23,12 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorize, floor_nth_root_fraction, omega
-from .padic import values_mod
+from .padic import ResourceLimit, values_mod
 from .poly import IntPolynomial, content
-from .sieve import ResourceLimit, SieveProfile
+from .sieve import SieveProfile
 
 COMPLETE_SUM_LIMIT = 4 * 10**6
 WEYL_LIMIT = 10**8
+WEYL_CHUNK = 2**18
 DEFAULT_BLOCK = 4096
 
 
@@ -68,21 +69,23 @@ class ExpSumResult:
         return self
 
 
-def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
-    """Deterministic fixed-block pairwise (tree) summation."""
-    if len(values) == 0:
+def _pair_tree(sums: list[complex]) -> complex:
+    """Sum the block sums pairwise, level by level; an odd last one moves up."""
+    if not sums:
         return 0j
-    sums = [
-        complex(np.sum(values[i : i + block])) for i in range(0, len(values), block)
-    ]
     while len(sums) > 1:
-        nxt = []
-        for i in range(0, len(sums) - 1, 2):
-            nxt.append(sums[i] + sums[i + 1])
+        nxt = [sums[i] + sums[i + 1] for i in range(0, len(sums) - 1, 2)]
         if len(sums) % 2:
             nxt.append(sums[-1])
         sums = nxt
     return sums[0]
+
+
+def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
+    """Deterministic fixed-block pairwise (tree) summation."""
+    return _pair_tree(
+        [complex(np.sum(values[i : i + block])) for i in range(0, len(values), block)]
+    )
 
 
 def frac_mul_exact(n: int, alpha: float) -> float:
@@ -213,31 +216,17 @@ def _normalize_alpha(alpha) -> tuple[Fraction, float]:
     return Fraction(0), float(alpha)
 
 
-def weyl_sum(
+def _weyl_terms(
     g: IntPolynomial,
-    alpha,
-    X: int,
-    profile: Optional[SieveProfile] = None,
-    weighted: bool = False,
-    block: int = DEFAULT_BLOCK,
-) -> ExpSumResult:
-    """sum over n <= X (n in W(Y) if a profile is given) of
-    [g'(n)] * e(g(n) * alpha).
-
-    alpha may be a float, an exact Fraction, or a (Fraction, float) pair
-    meaning a/q + beta.  The rational part uses exact residue classes; the
-    real part uses exact dyadic multiplication.
-    """
-    if X > WEYL_LIMIT:
-        raise ResourceLimit(f"Weyl sums capped at X <= {WEYL_LIMIT}")
-    rat, beta = _normalize_alpha(alpha)
-    n = np.arange(1, X + 1, dtype=np.int64)
-    if profile is not None:
-        n = n[profile.mask(X + 1)[1:]]
-    q = rat.denominator
-    a = rat.numerator % q
+    dg: Optional[IntPolynomial],
+    a: int,
+    q: int,
+    beta: float,
+    n: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """The terms [g'(n)] e(g(n) (a/q + beta)) at the integers n, and their mass."""
     if q <= 10**6:
-        idx = (values_mod(g, n, q) * (a % q)) % q
+        idx = (values_mod(g, n, q) * a) % q
     else:
         # denominator too large for int64 Horner; exact big-int fallback
         idx = np.array([g.eval_mod(int(t), q) * a % q for t in n.tolist()])
@@ -249,21 +238,62 @@ def weyl_sum(
         )
         phases = phases + extra
     terms = np.exp(2j * np.pi * phases)
-    if weighted:
-        dg = g.derivative()
-        # derivative values fit a double exactly through 2^53; desk scale
-        acc = np.zeros(len(n), dtype=np.float64)
-        nf = n.astype(np.float64)
-        for c in reversed(dg.coeffs):
-            acc = acc * nf + c
-        terms = terms * acc
-        mass = float(np.sum(np.abs(acc)))
-    else:
-        mass = float(len(n))
-    value = pairwise_sum(terms, block=block)
+    if dg is None:
+        return terms, float(len(n))
+    # derivative values fit a double exactly through 2^53; desk scale
+    acc = np.zeros(len(n), dtype=np.float64)
+    nf = n.astype(np.float64)
+    for c in reversed(dg.coeffs):
+        acc = acc * nf + c
+    return terms * acc, float(np.sum(np.abs(acc)))
+
+
+def weyl_sum(
+    g: IntPolynomial,
+    alpha,
+    X: int,
+    profile: Optional[SieveProfile] = None,
+    weighted: bool = False,
+) -> ExpSumResult:
+    """sum over n <= X (n in W(Y) if a profile is given) of
+    [g'(n)] * e(g(n) * alpha).
+
+    alpha may be a float, an exact Fraction, or a (Fraction, float) pair
+    meaning a/q + beta.  The rational part uses exact residue classes; the
+    real part uses exact dyadic multiplication.  The terms are generated
+    WEYL_CHUNK integers at a time and summed in the fixed blocks of
+    pairwise_sum, the fewer than DEFAULT_BLOCK terms left at a chunk's end
+    carrying into the next, so memory stays bounded and the value is the
+    one pairwise_sum gives over all terms at once.
+    """
+    if X > WEYL_LIMIT:
+        raise ResourceLimit(f"Weyl sums capped at X <= {WEYL_LIMIT}")
+    rat, beta = _normalize_alpha(alpha)
+    q = rat.denominator
+    a = rat.numerator % q
+    dg = g.derivative() if weighted else None
+    leaves: list[complex] = []
+    carry = np.zeros(0, dtype=np.complex128)
+    n_terms, mass = 0, 0.0
+    for lo in range(1, X + 1, WEYL_CHUNK):
+        n = np.arange(lo, min(lo + WEYL_CHUNK, X + 1), dtype=np.int64)
+        if profile is not None:
+            n = n[profile.mask(len(n), lo=lo)]
+        terms, chunk_mass = _weyl_terms(g, dg, a, q, beta, n)
+        n_terms += len(n)
+        mass += chunk_mass
+        terms = np.concatenate((carry, terms))
+        full = len(terms) - len(terms) % DEFAULT_BLOCK
+        leaves.extend(
+            complex(np.sum(terms[i : i + DEFAULT_BLOCK]))
+            for i in range(0, full, DEFAULT_BLOCK)
+        )
+        carry = terms[full:]
+    if len(carry):
+        leaves.append(complex(np.sum(carry)))
     return ExpSumResult(
-        value=value,
-        n_terms=len(n),
+        value=_pair_tree(leaves),
+        n_terms=n_terms,
         method="rational-phase" if beta == 0.0 else "dyadic-phase",
         est_abs_error=max(mass, 1.0) * 2.0**-46,
     ).check_trivial_bound(mass)
@@ -309,6 +339,13 @@ def major_arc_asymptotic(
          * sum_{s in W^q(Y)} e(g(s) a/q) * integral_0^X g'(x) e(g(x) beta) dx.
     The oscillatory integral bound |integral| <= min(|g(X)-g(0)|, 1/(pi |beta|))
     is asserted into vdc_ok.
+
+    in_regime requires X >= q Y^2 (1 + |beta| |g(X) - g(0)|).  The main term
+    replaces the sieved sum by its average over W^q(Y) classes against the
+    weight g'(x) e(g(x) beta); partial summation pays the class-count error
+    once for every unit of phase that e(g(x) beta) turns through, and
+    |beta| |g(X) - g(0)| is that total variation.  At beta = 0 it is
+    X >= q Y^2.
     """
     q = pt.q
     pref = Fraction(1, q)
@@ -332,7 +369,7 @@ def major_arc_asymptotic(
         actual=actual,
         abs_err=abs_err,
         rel_err=rel_err,
-        in_regime=X >= q * profile.Y**2,
+        in_regime=X >= q * profile.Y**2 * (1 + abs(beta) * rng),
         vdc_ok=vdc_ok,
     )
 

@@ -16,6 +16,10 @@ from .poly import IntPolynomial, exact_div, square_free_decomposition
 ROOTS_BRUTE_LIMIT = 10**6
 
 
+class ResourceLimit(RuntimeError):
+    """Desk-scale guard tripped."""
+
+
 class HenselConditionError(ValueError):
     """The strong-Hensel precondition g(n) = 0 mod p^(2v+1) failed; the caller
     must deepen its initial search rather than treat this as a bug."""
@@ -262,7 +266,8 @@ def _hensel_candidate(
 
     Returns (j, z, v) with f(z) = 0 mod p^j, v = v_p(f'(z)), j >= 2v+1,
     choosing the smallest residue at the minimal such j; None if depth is
-    exhausted first.
+    exhausted first.  Raises ResourceLimit rather than lift past
+    ROOTS_BRUTE_LIMIT residues.
     """
     df = f.derivative()
     if p > ROOTS_BRUTE_LIMIT:
@@ -298,6 +303,11 @@ def _hensel_candidate(
         if not roots:
             return None
         if j < depth:
+            if len(roots) * p > ROOTS_BRUTE_LIMIT:
+                raise ResourceLimit(
+                    f"singular-root lift capped at {ROOTS_BRUTE_LIMIT} residues "
+                    f"({len(roots)} roots mod {p}^{j})"
+                )
             roots = _lift_root_level(f, p, roots, j)
     return None
 
@@ -335,7 +345,10 @@ def choose_root(
     multiplicity; within a factor the witness of minimal precision wins,
     ties broken by smallest residue.  If no bounded Hensel witness exists
     for a factor, its exact rational roots with denominator coprime to p
-    are used instead.  Raises NoRootToDepth when every factor fails.
+    are used instead; that fallback also serves a factor whose singular
+    roots would lift past ROOTS_BRUTE_LIMIT residues, and without a usable
+    rational root such a factor raises ResourceLimit.  Raises NoRootToDepth
+    when every factor fails.
     Callers certifying many primes pass square_free_decomposition(h) as
     factors, so it is computed once rather than per prime.
     """
@@ -346,7 +359,11 @@ def choose_root(
     if factors is None:
         factors = square_free_decomposition(h)
     for f, u in factors:
-        cand = _hensel_candidate(f, p, depth)
+        capped = None
+        try:
+            cand = _hensel_candidate(f, p, depth)
+        except ResourceLimit as exc:
+            cand, capped = None, exc
         if cand is not None:
             j, z, v = cand
             return RootCert(p=p, j=j, z=z, m=u, v=v, factor=f)
@@ -359,6 +376,8 @@ def choose_root(
             return RootCert(
                 p=p, j=depth, z=z, m=u, v=v, factor=f, exact_root=pick
             )
+        if capped is not None:
+            raise capped
     raise NoRootToDepth(f"no certifiable root of {h} at p={p} within depth {depth}")
 
 

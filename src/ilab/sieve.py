@@ -16,15 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import count_congruent_in_range, crt_pair, primes_up_to
-from .padic import roots_mod
+from .padic import ResourceLimit, roots_mod
 from .poly import IntPolynomial
 
 LIST_LIMIT = 10**7
 COUNT_NODE_LIMIT = 10**7
-
-
-class ResourceLimit(RuntimeError):
-    """Desk-scale guard tripped."""
 
 
 def is_identically_zero_mod(f: IntPolynomial, m: int) -> bool:
@@ -91,12 +87,13 @@ class SieveProfile:
         active root class."""
         return all(n % pg not in roots for pg, roots in self._active(q))
 
-    def mask(self, n: int, q: int | None = None) -> np.ndarray:
-        """Boolean membership of 0..n-1 (index = integer) in W(Y), or W^q(Y)."""
+    def mask(self, n: int, q: int | None = None, lo: int = 0) -> np.ndarray:
+        """Boolean membership of lo..lo+n-1 (index i is the integer lo + i)
+        in W(Y), or W^q(Y)."""
         out = np.ones(n, dtype=bool)
         for pg, roots in self._active(q):
             for r in roots:
-                out[r::pg] = False
+                out[(r - lo) % pg :: pg] = False
         return out
 
 

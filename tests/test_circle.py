@@ -16,9 +16,20 @@ from ilab.circle import (
     arc_mass,
     arc_mass_divisors,
     classify,
+    correlation_counts,
     dft_indicator,
     extract_progression,
 )
+
+
+def loop_dft_indicator(A, N):
+    """Reference: the indicator filled element by element, then one FFT."""
+    vec = np.zeros(N, dtype=np.float64)
+    count = 0
+    for a in A:
+        vec[a % N] = 1.0
+        count += 1
+    return np.fft.fft(vec) / N, count
 
 
 class TestDft:
@@ -69,6 +80,19 @@ class TestDft:
             dft_indicator([1], 2**25)
         with pytest.raises(ValueError):
             dft_indicator([0], 10)
+        with pytest.raises(ValueError, match="set element 11 outside"):
+            dft_indicator(iter([3, 11, -4]), 10)
+        with pytest.raises(ValueError, match="outside"):
+            dft_indicator([2**70], 10)
+
+    @pytest.mark.parametrize("N", [1, 97, 1000, 3**7, 10**5 + 3, 2**21])
+    def test_bit_identical_to_loop(self, N):
+        rng = random.Random(N)
+        A = [rng.randint(1, N) for _ in range(min(N, 5000))] + [N, N]  # duplicates
+        fd = dft_indicator(iter(A), N)
+        values, count = loop_dft_indicator(A, N)
+        assert fd.values.tobytes() == values.tobytes()
+        assert fd.source_size == count == len(A)
 
 
 class TestClassify:
@@ -204,3 +228,29 @@ class TestExtractProgression:
 
     def test_empty_set(self):
         assert isinstance(extract_progression(set(), 100, 2, 1, 0.5), NoIncrement)
+
+
+class TestCorrelationCounts:
+    def test_complex_fft_oracle(self):
+        rng = random.Random(607)
+        for _ in range(20):
+            L = rng.randint(50, 5000)  # odd and even lengths
+            q = rng.randint(1, 12)
+            X = rng.randint(1, max(1, L // q))
+            B = {n for n in range(1, L + 1) if rng.random() < rng.choice([0.05, 0.5])}
+            if not B:
+                continue
+            bvec = np.zeros(L)
+            bvec[[b % L for b in B]] = 1.0
+            pvec = np.zeros(L)
+            pvec[np.arange(1, X + 1) * q % L] = 1.0
+            corr = np.fft.ifft(np.fft.fft(bvec) * np.conj(np.fft.fft(pvec))).real
+            assert correlation_counts(B, L, q, X).tolist() == np.rint(corr).astype(np.int64).tolist()
+
+    def test_direct_count(self):
+        rng = random.Random(608)
+        L, q, X = 97, 5, 12
+        B = set(rng.sample(range(1, L + 1), 40))
+        P = [l * q for l in range(1, X + 1)]
+        direct = [sum((p + x) % L in {b % L for b in B} for p in P) for x in range(L)]
+        assert correlation_counts(B, L, q, X).tolist() == direct

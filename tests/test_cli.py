@@ -72,6 +72,16 @@ class TestExitCodes:
         assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
         assert "1000 inclusion-exclusion nodes" in captured.err
 
+    def test_singular_lift_guard_exits_three(self, capsys, monkeypatch):
+        # x^2 - 2*7^6 has no rational root; at p = 7 its lift to j = 7 asks
+        # for 343 * 7 = 2401 residues
+        monkeypatch.setattr("ilab.padic.ROOTS_BRUTE_LIMIT", 2400)
+        code = main(["intersect", "check", "--poly", "x^2-235298", "--prime-bound", "7"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
+        assert "capped at 2400 residues" in captured.err
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")

@@ -4,13 +4,19 @@ ratio audits, and moment sums."""
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ilab.expsum import (
+    DEFAULT_BLOCK,
+    WEYL_CHUNK,
     RationalPoint,
     ResourceLimit,
     complete_sum,
@@ -25,6 +31,7 @@ from ilab.expsum import (
     weyl_minor_bound,
     weyl_sum,
 )
+from ilab.padic import values_mod
 from ilab.poly import parse_poly
 from ilab.sieve import SieveProfile
 
@@ -228,6 +235,95 @@ class TestWeylSum:
             weyl_sum(X2, 0.0, 10**8 + 1)
 
 
+def materialized_weyl_sum(g, alpha, X, profile=None, weighted=False):
+    """Reference: every term of [1, X] held at once, then one pairwise_sum."""
+    rat, beta = (alpha, 0.0) if isinstance(alpha, Fraction) else alpha
+    n = np.arange(1, X + 1, dtype=np.int64)
+    if profile is not None:
+        n = n[profile.mask(X + 1)[1:]]
+    q = rat.denominator
+    a = rat.numerator % q
+    if q <= 10**6:
+        idx = (values_mod(g, n, q) * a) % q
+    else:
+        idx = np.array([g.eval_mod(int(t), q) * a % q for t in n.tolist()])
+    phases = idx.astype(np.float64) / q
+    if beta != 0.0:
+        num, den = beta.as_integer_ratio()
+        phases = phases + np.array(
+            [((g(int(t)) * num) % den) / den for t in n.tolist()], dtype=np.float64
+        )
+    terms = np.exp(2j * np.pi * phases)
+    if weighted:
+        acc = np.zeros(len(n), dtype=np.float64)
+        nf = n.astype(np.float64)
+        for c in reversed(g.derivative().coeffs):
+            acc = acc * nf + c
+        terms = terms * acc
+    return pairwise_sum(terms), len(n)
+
+
+class TestStreamedWeylSum:
+    """The chunked sum is bit for bit the sum over all terms at once."""
+
+    PROFILE = SieveProfile.build(X3, 10)  # sieved counts per chunk are not block multiples
+
+    @staticmethod
+    def assert_identical(g, alpha, X, profile, weighted):
+        res = weyl_sum(g, alpha, X, profile, weighted=weighted)
+        value, n_terms = materialized_weyl_sum(g, alpha, X, profile, weighted)
+        assert (res.value.real.hex(), res.value.imag.hex(), res.n_terms) == (
+            value.real.hex(),
+            value.imag.hex(),
+            n_terms,
+        )
+
+    @pytest.mark.parametrize(
+        "X",
+        [0, 1, DEFAULT_BLOCK + 1, WEYL_CHUNK - 1, WEYL_CHUNK, WEYL_CHUNK + 1,
+         3 * WEYL_CHUNK + DEFAULT_BLOCK + 7],
+    )
+    @pytest.mark.parametrize("sieved", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rational_alpha(self, X, sieved, weighted):
+        profile = self.PROFILE if sieved else None
+        self.assert_identical(X3, Fraction(2, 97), X, profile, weighted)
+
+    @pytest.mark.parametrize(
+        "alpha, sieved, weighted",
+        [
+            ((Fraction(1, 3), 3.7e-7), True, True),
+            ((Fraction(0), 1e-9), False, False),
+            ((Fraction(5, 10**6 + 3), 0.0), True, False),  # exact big-int phases
+        ],
+    )
+    def test_slow_phase_paths(self, alpha, sieved, weighted):
+        profile = self.PROFILE if sieved else None
+        self.assert_identical(X3, alpha, WEYL_CHUNK + 4099, profile, weighted)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_bounded_memory(self):
+        # holding all 2e7 terms at once peaks near 350 MB.  The child reads its
+        # own VmHWM: ru_maxrss would carry over the peak of this test process,
+        # which a child inherits through fork and exec
+        code = (
+            "from fractions import Fraction\n"
+            "from ilab.expsum import weyl_sum\n"
+            "from ilab.poly import parse_poly\n"
+            "from ilab.sieve import SieveProfile\n"
+            "g = parse_poly('x^2')\n"
+            "weyl_sum(g, (Fraction(1, 3), 0.0), 2 * 10**7, SieveProfile.build(g, 10), weighted=True)\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(status.split()[0])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) / 1024 < 150  # VmHWM is in kB
+
+
 class TestOscillatoryIntegral:
     def test_beta_zero(self):
         assert oscillatory_integral(X2, 0.0, 100) == 10000 + 0j
@@ -266,6 +362,16 @@ class TestMajorArc:
         res = major_arc_asymptotic(X2, RationalPoint(1, 3), 1e-9, 10**4, pr)
         assert res.vdc_ok
         assert res.rel_err < 0.05
+
+    def test_regime_accounts_for_beta(self):
+        # X = 1000 >= q Y^2 = 300, but beta (g(X) - g(0)) = 100 phase turns
+        # ask for X >= 300 * 101; the main term is then off by 1.6e15
+        pr = SieveProfile.build(X2, 10)
+        res = major_arc_asymptotic(X2, RationalPoint(1, 3), 0.0001, 1000, pr)
+        assert not res.in_regime and res.rel_err > 1
+        assert major_arc_asymptotic(X2, RationalPoint(1, 3), 0.0, 1000, pr).in_regime
+        # 300 (1 + 1e-9 * 10^8) = 330 <= 10^4
+        assert major_arc_asymptotic(X2, RationalPoint(1, 3), 1e-9, 10**4, pr).in_regime
 
 
 class TestMinorAudits:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from ilab.arith import crt_pair, factorize
+import ilab.padic as padic
 from ilab.padic import (
     HenselConditionError,
     NoRootToDepth,
+    ResourceLimit,
     _prime_power_roots,
     choose_root,
     exact_cert,
@@ -30,7 +32,8 @@ QUINTIC = parse_poly("(x^3-19)(x^2+x+1)")
 def random_poly(rng, deg_max=4, coeff=30):
     k = rng.randint(1, deg_max)
     cs = [rng.randint(-coeff, coeff) for _ in range(k)]
-    cs.append(rng.choice([c for c in range(-coeff, coeff + 1) if c]))
+    # uniform over the nonzero integers in [-coeff, coeff], without listing them
+    cs.append(rng.randint(1, coeff) * rng.choice((1, -1)))
     return IntPolynomial(cs)
 
 
@@ -195,6 +198,66 @@ class TestChooseRoot:
     def test_no_root_raises(self):
         with pytest.raises(NoRootToDepth):
             choose_root(parse_poly("x^2+1"), 3)
+
+
+class TestLiftCap:
+    """The singular-root lift stops before len(roots) * p passes
+    ROOTS_BRUTE_LIMIT residues."""
+
+    # x^2 - 2*7^6: its 7-adic roots 7^3 * (+-sqrt 2) need j >= 7; the lift
+    # to j = 7 starts from 343 roots mod 7^6, so it asks for 343 * 7 = 2401
+    IRRATIONAL = parse_poly("x^2-235298")
+    # x(x - 7^4): v = 4 at the root 0, so a witness needs j >= 9
+    RATIONAL = parse_poly("x(x-2401)")
+
+    @staticmethod
+    def lifted_sizes(monkeypatch) -> list[int]:
+        sizes: list[int] = []
+        lift = padic._lift_root_level
+
+        def counting(f, p, roots, j):
+            sizes.append(len(roots) * p)
+            return lift(f, p, roots, j)
+
+        monkeypatch.setattr(padic, "_lift_root_level", counting)
+        return sizes
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 2401)
+        c = choose_root(self.IRRATIONAL, 7)
+        assert (c.j, c.z, c.v, c.exact_root) == (7, 1029, 3, None)
+        assert c.verify(self.IRRATIONAL)
+
+    def test_irrational_factor_raises(self, monkeypatch):
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 2400)
+        with pytest.raises(ResourceLimit, match="capped at 2400 residues"):
+            choose_root(self.IRRATIONAL, 7)
+
+    def test_capped_lift_takes_the_rational_root(self, monkeypatch):
+        # unbounded, depth 10 lifts 2401 roots mod 7^8 and finds the witness
+        # at j = 9; capped, the exact root 0 certifies instead
+        c = choose_root(self.RATIONAL, 7, 10)
+        assert (c.j, c.z, c.v, c.exact_root) == (9, 0, 4, None)
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 1000)
+        c = choose_root(self.RATIONAL, 7, 10)
+        assert (c.j, c.z, c.v, c.exact_root) == (10, 0, 4, Fraction(0))
+        assert c.verify(self.RATIONAL)
+
+    def test_fallback_is_the_uncapped_certificate_at_depth_8(self, monkeypatch):
+        # depth 8 ends in the exact-root fallback capped or not
+        uncapped = choose_root(self.RATIONAL, 7, 8)
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 100)
+        assert choose_root(self.RATIONAL, 7, 8) == uncapped
+        assert uncapped.exact_root == 0 and uncapped.j == 8
+
+    def test_37_to_the_fourth_stays_under_the_limit(self, monkeypatch):
+        # x(x - 37^4) would lift 50653 -> 1874161 residues at j = 7
+        sizes = self.lifted_sizes(monkeypatch)
+        h = parse_poly("x(x-1874161)")
+        c = choose_root(h, 37, 8)
+        assert (c.j, c.z, c.m, c.v, c.exact_root) == (8, 0, 1, 4, Fraction(0))
+        assert c.verify(h)
+        assert max(sizes) <= padic.ROOTS_BRUTE_LIMIT
 
     def test_certificates_reverify(self):
         rng = random.Random(202)

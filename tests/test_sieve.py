@@ -101,6 +101,17 @@ class TestMembership:
                 assert len(mask) == n
                 assert mask.tolist() == [profile.member(i, q) for i in range(n)]
 
+    def test_range_mask_is_a_slice(self):
+        # mask(n, q, lo) covers lo..lo+n-1: a slice of the mask from 0
+        rng = random.Random(404)
+        for _ in range(40):
+            profile = random_profile(rng)
+            q = rng.choice([None, None, profile.modulus, rng.randint(1, 10**4)])
+            lo = rng.choice([0, 1, rng.randint(2, 10**5)])
+            n = rng.choice([0, 1, rng.randint(2, 3000)])
+            got = profile.mask(n, q, lo=lo)
+            assert got.tolist() == profile.mask(lo + n, q)[lo:].tolist()
+
     def test_mask_index_zero(self):
         pr = SieveProfile.build(X2, 10)
         assert not pr.mask(5)[0] and not pr.member(0)  # g'(0) = 0 at every p
