@@ -199,6 +199,41 @@ class TestChooseRoot:
         with pytest.raises(NoRootToDepth):
             choose_root(parse_poly("x^2+1"), 3)
 
+    def test_certificates_reverify(self):
+        rng = random.Random(202)
+        checked = 0
+        for _ in range(120):
+            p = random_poly(rng, deg_max=3, coeff=12)
+            if rng.random() < 0.3:
+                p = p * p
+            if p.degree < 1:
+                continue
+            prime = rng.choice([2, 3, 5, 7, 11, 13])
+            try:
+                c = choose_root(p, prime)
+            except NoRootToDepth:
+                continue
+            assert c.verify(p)
+            assert prime ** c.j >= 1 and 0 <= c.z < prime**c.j
+            assert p(c.z) % prime**c.j == 0
+            checked += 1
+        assert checked > 30
+
+    def test_deeper_residues_stay_roots(self):
+        c = choose_root(QUINTIC, 3)
+        z = c.residue_mod(9)
+        assert QUINTIC(z) % 3**9 == 0
+
+    def test_exact_cert_override(self):
+        g = parse_poly("(x-1)(x-2)")
+        c = exact_cert(g, 2, 1)
+        assert c.z % 2 == 1 and c.m == 1
+        assert c.verify(g)
+        with pytest.raises(ValueError):
+            exact_cert(g, 2, 5)
+        with pytest.raises(ValueError):
+            exact_cert(parse_poly("2x-1"), 2, Fraction(1, 2))
+
 
 class TestLiftCap:
     """The singular-root lift stops before len(roots) * p passes
@@ -258,41 +293,6 @@ class TestLiftCap:
         assert (c.j, c.z, c.m, c.v, c.exact_root) == (8, 0, 1, 4, Fraction(0))
         assert c.verify(h)
         assert max(sizes) <= padic.ROOTS_BRUTE_LIMIT
-
-    def test_certificates_reverify(self):
-        rng = random.Random(202)
-        checked = 0
-        for _ in range(120):
-            p = random_poly(rng, deg_max=3, coeff=12)
-            if rng.random() < 0.3:
-                p = p * p
-            if p.degree < 1:
-                continue
-            prime = rng.choice([2, 3, 5, 7, 11, 13])
-            try:
-                c = choose_root(p, prime)
-            except NoRootToDepth:
-                continue
-            assert c.verify(p)
-            assert prime ** c.j >= 1 and 0 <= c.z < prime**c.j
-            assert p(c.z) % prime**c.j == 0
-            checked += 1
-        assert checked > 30
-
-    def test_deeper_residues_stay_roots(self):
-        c = choose_root(QUINTIC, 3)
-        z = c.residue_mod(9)
-        assert QUINTIC(z) % 3**9 == 0
-
-    def test_exact_cert_override(self):
-        g = parse_poly("(x-1)(x-2)")
-        c = exact_cert(g, 2, 1)
-        assert c.z % 2 == 1 and c.m == 1
-        assert c.verify(g)
-        with pytest.raises(ValueError):
-            exact_cert(g, 2, 5)
-        with pytest.raises(ValueError):
-            exact_cert(parse_poly("2x-1"), 2, Fraction(1, 2))
 
 
 class TestRationalRoots:
