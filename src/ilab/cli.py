@@ -242,7 +242,7 @@ def cmd_circle_dft(args) -> dict:
     members, N = _members(args, "N")
     fd = dft_indicator(members, N)
     mags = np.abs(fd.values)
-    top = sorted(range(1, N), key=lambda t: -mags[t])[:8]
+    top = np.argsort(-mags[1:], kind="stable")[:8] + 1
     lhs, rhs = fd.plancherel()
     return {
         "N": N,

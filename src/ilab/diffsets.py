@@ -246,6 +246,53 @@ def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
     return bound
 
 
+def _max_independent(
+    adj: Sequence[int],
+    cand: int,
+    best_bits: int = 0,
+    budget: float = math.inf,
+    target: Optional[int] = None,
+) -> tuple[int, int, bool]:
+    """Maximum independent set inside the vertex bitset cand, by iterative
+    depth-first branch-and-bound over the adjacency bitsets adj.
+
+    best_bits is an independent set to beat.  Every popped node counts; the
+    search gives up once the count exceeds budget, and stops at the first set
+    of size target.  Nodes are pruned by their candidate popcount and, every
+    16384 nodes, by a greedy clique cover.  It branches on the lowest
+    candidate vertex, include first (on a Cayley graph all degrees are equal,
+    so this is the degree order).  Returns (best_bits, nodes, exhausted).
+    """
+    best_size = best_bits.bit_count()
+    if target is not None and best_size >= target:
+        return best_bits, 0, False
+    nodes = 0
+    stack = [(0, 0, cand)]
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return best_bits, nodes, False
+        size, chosen, cand = stack.pop()
+        if not cand:
+            if size > best_size:
+                best_size, best_bits = size, chosen
+                if target is not None and size >= target:
+                    return best_bits, nodes, False
+            continue
+        if size + cand.bit_count() <= best_size:
+            continue
+        if nodes % 16384 == 0 and (
+            size + _greedy_clique_cover_bound(cand, adj) <= best_size
+        ):
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        # exclude branch pushed first so the include branch pops first
+        stack.append((size, chosen, cand ^ low))
+        stack.append((size + 1, chosen | low, cand & ~(adj[v] | low)))
+    return best_bits, nodes, True
+
+
 def modular_search(
     q: int,
     k: int,
@@ -269,17 +316,8 @@ def modular_search(
     if mode == "exhaustive" and q > 32:
         raise ValueError("exhaustive mode requires q <= 32")
     inst = ModularInstance.build(q, k)
-    Dsym = set(inst.D) | {(q - d) % q for d in inst.D}
-    Dsym.discard(0)
-    adj = [0] * q
-    for v in range(q):
-        for d in Dsym:
-            adj[v] |= 1 << ((v + d) % q)
-        adj[v] &= ~(1 << v)
-
-    # vertex order: descending forbidden-degree (degree is constant on a
-    # Cayley graph; the order is then just vertex index, kept for determinism)
-    order = sorted(range(q), key=lambda v: (-bin(adj[v]).count("1"), v))
+    D_sym = inst.D_sym
+    adj = [_bits_from((v + d) % q for d in D_sym) for v in range(q)]
 
     best: list[int] = []
     if mode != "exhaustive":
@@ -288,58 +326,21 @@ def modular_search(
             perm = list(range(q))
             rng.shuffle(perm)
             chosen: list[int] = []
-            taken = 0
             banned = 0
             for v in perm:
                 b = 1 << v
                 if not banned & b:
                     chosen.append(v)
-                    taken |= b
                     banned |= b | adj[v]
             if len(chosen) > len(best):
                 best = sorted(chosen)
             if target is not None and len(best) >= target:
                 break
 
-    nodes = 0
-    exhausted = False
     full = (1 << q) - 1
-    root_bound = _greedy_clique_cover_bound(full, adj)
-    best_bits = _bits_from(best)
-    best_size = len(best)
-    hit_target = target is not None and best_size >= target
-
-    if not hit_target:
-        # iterative DFS over (chosen_size, chosen_bits, candidates)
-        stack = [(0, 0, full)]
-        recheck = 1 << 14
-        exhausted = True
-        while stack:
-            nodes += 1
-            if nodes > budget:
-                exhausted = False
-                break
-            size, chosen, cand = stack.pop()
-            if not cand:
-                if size > best_size:
-                    best_size = size
-                    best_bits = chosen
-                    if target is not None and best_size >= target:
-                        exhausted = False
-                        hit_target = True
-                        break
-                continue
-            if size + bin(cand).count("1") <= best_size:
-                continue
-            if nodes % recheck == 0 and (
-                size + _greedy_clique_cover_bound(cand, adj) <= best_size
-            ):
-                continue
-            v = next(u for u in order if cand & (1 << u))
-            # exclude branch pushed first so the include branch pops first
-            stack.append((size, chosen, cand & ~(1 << v)))
-            stack.append((size + 1, chosen | (1 << v), cand & ~(adj[v] | (1 << v))))
-
+    best_bits, nodes, exhausted = _max_independent(
+        adj, full, _bits_from(best), budget, target
+    )
     members = tuple(sorted(v for v in range(q) if best_bits & (1 << v)))
     assert verify_modular(members, q, inst.D), "search produced an invalid set"
     return SearchResult(
@@ -347,7 +348,7 @@ def modular_search(
         size=len(members),
         optimal=exhausted,
         nodes=nodes,
-        upper_bound=root_bound,
+        upper_bound=_greedy_clique_cover_bound(full, adj),
     )
 
 
@@ -443,26 +444,10 @@ def exhaustive_max(
             if v - f >= 1:
                 adj[v] |= 1 << (v - f)
 
-    best_size = 0
-    best_bits = 0
     full = ((1 << (N + 1)) - 1) & ~1  # vertices 1..N
-
-    def rec(chosen_size: int, chosen: int, cand: int):
-        nonlocal best_size, best_bits
-        if chosen_size + bin(cand).count("1") <= best_size:
-            return
-        if not cand:
-            if chosen_size > best_size:
-                best_size = chosen_size
-                best_bits = chosen
-            return
-        v = _lsb_index(cand)
-        rec(chosen_size + 1, chosen | (1 << v), cand & ~(adj[v] | (1 << v)))
-        rec(chosen_size, chosen, cand & ~(1 << v))
-
-    rec(0, 0, full)
+    best_bits, _, _ = _max_independent(adj, full)
     witness = tuple(v for v in range(1, N + 1) if best_bits & (1 << v))
-    return best_size, witness
+    return len(witness), witness
 
 
 def density_table(

@@ -456,11 +456,17 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
         raise ValueError("positive leading coefficient required")
     M = floor_nth_root_fraction(Fraction(L, 3 * b), k)
     w = float(profile.density())
-    F = np.zeros(L, dtype=np.float64)
+    # complex from the start, so the transform runs in place
+    F = np.zeros(L, dtype=np.complex128)
     dg = g.derivative()
     n = np.flatnonzero(profile.mask(M + 1)[1:]) + 1
     weights = np.array([dg(t) for t in n.tolist()], dtype=np.float64)
     np.add.at(F, values_mod(g, n, L), weights)
-    S = np.conj(np.fft.fft(F)) / (w * L)
-    p2 = np.abs(S) ** 2
-    return float(np.sum(p2 ** (m // 2)))
+    np.fft.fft(F, out=F)
+    F /= w * L
+    # no conjugate: |conj z| = |z|
+    p2 = np.abs(F)
+    del F
+    p2 *= p2
+    p2 **= m // 2
+    return float(np.sum(p2))

@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ilab.circle import dft_indicator
 from ilab.cli import build_parser, main
 from ilab.setio import load_set, runs_of, save_dfset
 
@@ -246,6 +248,22 @@ class TestPlumbing:
         payload = json.loads(out)
         assert code == 0 and payload["N"] == 64
         assert payload["f0"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "N, step", [(64, 8), (60, 5), (64, 3)], ids=["64-by-8", "60-by-5", "64-by-3"]
+    )
+    def test_circle_dft_top_frequencies_keep_tie_order(self, capsys, tmp_path, N, step):
+        # when step | N the magnitudes tie exactly at the multiples of N/step
+        # and at the zeros, and tied frequencies must stay in ascending t
+        # order; 64-by-3 has near-ties at t and N - t
+        members = list(range(step, N + 1, step))
+        f = tmp_path / "m.dfset"
+        save_dfset(f, members, N)
+        code, out = run_cli(capsys, "circle", "dft", "--set", str(f))
+        mags = np.abs(dft_indicator(members, N).values)
+        expected = sorted(range(1, N), key=lambda t: -mags[t])[:8]
+        assert code == 0
+        assert [row["t"] for row in json.loads(out)["top_frequencies"]] == expected
 
     def test_audit_sqrt_csv_columns(self, capsys, tmp_path):
         path = tmp_path / "audit.csv"

@@ -8,6 +8,8 @@ import random
 import pytest
 
 from ilab.diffsets import (
+    _greedy_clique_cover_bound,
+    _max_independent,
     DiffFreeInstance,
     ModularInstance,
     brute_force_verify,
@@ -111,6 +113,114 @@ class TestTrivialMultiples:
         assert verify(inst) is None
 
 
+def random_graph(rng, n, p):
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def is_independent(adj, bits):
+    return all(not adj[v] & bits for v in range(len(adj)) if bits >> v & 1)
+
+
+def popcount_branch_and_bound(adj, cand):
+    """The recursive search exhaustive_max used before the shared kernel:
+    popcount bound only, lowest vertex first, include first."""
+    best = [0, 0]
+
+    def rec(size, chosen, cand):
+        if size + bin(cand).count("1") <= best[0]:
+            return
+        if not cand:
+            best[:] = [size, chosen]
+            return
+        low = cand & -cand
+        v = low.bit_length() - 1
+        rec(size + 1, chosen | low, cand & ~(adj[v] | low))
+        rec(size, chosen, cand & ~low)
+
+    rec(0, 0, cand)
+    return best[1]
+
+
+class TestMaxIndependent:
+    def test_matches_brute_force_alpha(self):
+        rng = random.Random(20240)
+        for _ in range(40):
+            n = rng.randint(1, 14)
+            adj = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+            alpha = max(
+                bin(S).count("1") for S in range(1 << n) if is_independent(adj, S)
+            )
+            best, nodes, exhausted = _max_independent(adj, (1 << n) - 1)
+            assert exhausted and nodes >= 1
+            assert bin(best).count("1") == alpha
+            assert is_independent(adj, best)
+
+    def test_clique_cover_bound_is_sound(self):
+        rng = random.Random(99)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            adj = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            cand = rng.getrandbits(n)
+            alpha = max(
+                bin(S).count("1")
+                for S in range(1 << n)
+                if S & cand == S and is_independent(adj, S)
+            )
+            assert alpha <= _greedy_clique_cover_bound(cand, adj) <= bin(cand).count("1")
+
+    def test_same_witness_as_popcount_recursion(self):
+        # the clique-cover bound (every 16384 nodes) only prunes subtrees with
+        # no strictly better leaf, so the first best leaf found is unchanged
+        rng = random.Random(5)
+        deep = 0
+        for n, p in ((40, 0.1), (45, 0.15), (36, 0.1), (50, 0.2), (24, 0.3)):
+            adj = random_graph(rng, n, p)
+            full = (1 << n) - 1
+            best, nodes, exhausted = _max_independent(adj, full)
+            assert exhausted
+            assert best == popcount_branch_and_bound(adj, full)
+            deep += nodes > 1 << 14
+        assert deep >= 2
+
+    def test_budget(self):
+        adj = random_graph(random.Random(3), 14, 0.3)
+        full = (1 << 14) - 1
+        best, total, exhausted = _max_independent(adj, full)
+        assert exhausted and total > 20
+        for budget in (0, 1, 7, 20, total - 1):
+            b, nodes, ex = _max_independent(adj, full, budget=budget)
+            assert nodes == budget + 1
+            assert not ex and is_independent(adj, b)
+        assert _max_independent(adj, full, budget=total) == (best, total, True)
+
+    def test_target_stops_at_first_set_of_that_size(self):
+        adj = random_graph(random.Random(11), 14, 0.3)
+        full = (1 << 14) - 1
+        alpha = bin(_max_independent(adj, full)[0]).count("1")
+        for target in range(1, alpha + 1):
+            best, nodes, exhausted = _max_independent(adj, full, target=target)
+            assert not exhausted and bin(best).count("1") >= target
+            before, _, _ = _max_independent(adj, full, budget=nodes - 1)
+            assert bin(before).count("1") < target
+            assert _max_independent(adj, full, budget=nodes)[0] == best
+
+    def test_warm_start(self):
+        adj = random_graph(random.Random(2), 12, 0.4)
+        full = (1 << 12) - 1
+        best, _, _ = _max_independent(adj, full)
+        size = bin(best).count("1")
+        # a start that already meets the target costs no node
+        assert _max_independent(adj, full, best, target=size) == (best, 0, False)
+        # a start at the optimum is never replaced
+        assert _max_independent(adj, full, best)[0] == best
+
+
 class TestModularSearch:
     def test_q5_exhaustive(self):
         res = modular_search(5, 2, mode="exhaustive")
@@ -162,6 +272,28 @@ class TestModularSearch:
         assert not res.optimal
         assert res.nodes <= 501
         assert verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
+
+    @pytest.mark.parametrize(
+        "q, budget, expected",
+        [
+            (85, 2 * 10**5, (7, (10, 34, 48, 54, 66, 72, 77), 200001, False, 20)),
+            (
+                205,
+                500,
+                (
+                    12,
+                    (0, 22, 24, 56, 79, 82, 93, 116, 135, 150, 158, 192),
+                    501,
+                    False,
+                    32,
+                ),
+            ),
+        ],
+    )
+    def test_pinned_results(self, q, budget, expected):
+        # `ilab sets search` prints nodes, so the node count is pinned too
+        res = modular_search(q, 2, budget=budget, seed=1)
+        assert (res.size, res.best, res.nodes, res.optimal, res.upper_bound) == expected
 
     def test_q205_reaches_twelve(self):
         res = modular_search(205, 2, budget=10**9, seed=0, target=12)

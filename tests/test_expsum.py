@@ -31,6 +31,7 @@ from ilab.expsum import (
     weyl_minor_bound,
     weyl_sum,
 )
+from ilab.arith import floor_nth_root_fraction
 from ilab.padic import values_mod
 from ilab.poly import parse_poly
 from ilab.sieve import SieveProfile
@@ -396,7 +397,31 @@ class TestMinorAudits:
             sieved_minor_audit(X2, RationalPoint(1, 3), 10, 1, 10)
 
 
+def reference_moment_sum(g, L, m, profile):
+    """moment_sum transforming a float histogram out of place, with a
+    conjugate, a scaled copy and two float copies: the reference for the
+    in-place complex transform."""
+    M = floor_nth_root_fraction(Fraction(L, 3 * g.leading), g.degree)
+    w = float(profile.density())
+    F = np.zeros(L, dtype=np.float64)
+    dg = g.derivative()
+    n = np.flatnonzero(profile.mask(M + 1)[1:]) + 1
+    weights = np.array([dg(t) for t in n.tolist()], dtype=np.float64)
+    np.add.at(F, values_mod(g, n, L), weights)
+    S = np.conj(np.fft.fft(F)) / (w * L)
+    p2 = np.abs(S) ** 2
+    return float(np.sum(p2 ** (m // 2)))
+
+
 class TestMomentSum:
+    @pytest.mark.parametrize("L", [7, 10**3, 10**5 + 3, 10**6])
+    @pytest.mark.parametrize("g", [X2, H2], ids=["x^2", "2x^2-5x+3"])
+    def test_bit_identical_to_out_of_place(self, g, L):
+        pr = SieveProfile.build(g, 10)
+        for m in (2, 4, 6):
+            got = moment_sum(g, L, m, pr)
+            assert got.hex() == reference_moment_sum(g, L, m, pr).hex(), m
+
     def test_single_term(self):
         # L in [3, 11] forces M = 1: the sum collapses to L * (g'(1)/(w L))^m
         pr = SieveProfile.build(X2, 2)

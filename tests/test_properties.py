@@ -1,13 +1,14 @@
 """Property tests of the fast exact paths against their slow references:
-shift_scale against Horner composition on polynomial objects, and the
-first-simple-root scan of choose_root against a full residue scan."""
+shift_scale against Horner composition on polynomial objects, the
+first-simple-root scan of choose_root against a full residue scan, and
+parse_poly as the inverse of str."""
 
 import math
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ilab.arith import primes_up_to  # noqa: E402
@@ -16,6 +17,7 @@ from ilab.poly import (  # noqa: E402
     ZERO,
     IntegralityError,
     IntPolynomial,
+    parse_poly,
     shift_scale,
     square_free_decomposition,
 )
@@ -113,3 +115,15 @@ def test_choose_root_j1_is_smallest_simple_root(case):
         if cert.j == 1 and cert.exact_root is None:
             assert cert.v == 0
             assert cert.z == min(simple[cert.factor])
+
+
+@PROPERTY
+@given(cs=st.lists(st.integers(-10**6, 10**6), max_size=8))
+@example(cs=[])
+@example(cs=[0, 0])
+@example(cs=[-5])
+@example(cs=[3, 0, -1])
+@example(cs=[0, -7, 0, -1])
+def test_parse_poly_inverts_str(cs):
+    p = IntPolynomial(cs)
+    assert parse_poly(str(p)) == p
