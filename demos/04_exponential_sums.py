@@ -38,7 +38,7 @@ print("=" * 72)
 profile = SieveProfile.build(x2, 20)
 for q in (9, 25, 27, 49):
     full = abs(complete_sum(x2, RationalPoint(1, q)).value)
-    sieved = abs(complete_sum(x2, RationalPoint(1, q), sieve=(profile, True)).value)
+    sieved = abs(complete_sum(x2, RationalPoint(1, q), sieve=profile).value)
     print(f"  q = {q:3d}: unsieved |S| = {full:8.4f}   sieved |S| = {sieved:.2e}")
 print("\nThe sieved sums vanish to rounding error: j >= 2 gamma(p) makes the")
 print("inner sum a complete run over p^(j - 2 gamma + 1)-th roots of unity.")
@@ -50,10 +50,10 @@ print("=" * 72)
 for a, q in ((7, 360), (1, 9), (3, 44)):
     parts = crt_split(RationalPoint(a, q), profile)
     pieces = " + ".join(f"{p.a}/{p.q}[{tag}]" for p, tag in parts)
-    full = complete_sum(x2, RationalPoint(a, q), sieve=(profile, True)).value
+    full = complete_sum(x2, RationalPoint(a, q), sieve=profile).value
     prod = 1 + 0j
     for part, _ in parts:
-        prod *= complete_sum(x2, part, sieve=(profile, True)).value
+        prod *= complete_sum(x2, part, sieve=profile).value
     print(f"  {a}/{q} = {pieces}   |S - prod(S_i)| = {abs(full - prod):.2e}")
 
 print()

@@ -107,14 +107,6 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return r, m
 
 
-def crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
-    """CRT merge of pairwise coprime congruences."""
-    r, m = 0, 1
-    for ri, mi in zip(residues, moduli):
-        r, m = crt_pair(r, m, ri % mi, mi)
-    return r, m
-
-
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x**(1/n)) for x >= 0, n >= 1, exact."""
     if x < 0:

@@ -40,8 +40,10 @@ def dft_indicator(A: Iterable[int], N: int) -> FourierData:
     transform is exact-length N (no padding: arcs live on the rational grid
     t/N).
     """
-    if N < 1 or N > DFT_LIMIT:
-        raise MemoryError(f"N must be in [1, {DFT_LIMIT}]")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if N > DFT_LIMIT:
+        raise MemoryError(f"DFT length capped at N <= {DFT_LIMIT}, got {N}")
     try:
         idx = np.fromiter(A, dtype=np.int64)
     except OverflowError:

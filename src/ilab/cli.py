@@ -100,7 +100,7 @@ def _members(args, size: str) -> tuple[list[int], int]:
     """Members of the --set file and the interval length: --N or --L (named by
     `size`), else the DFSET1 header."""
     members, from_file = load_set(args.set)
-    n = getattr(args, size) or from_file
+    n = from_file if getattr(args, size) is None else getattr(args, size)
     if n is None:
         raise ValueError(f"plain set files need an explicit --{size}")
     return members, n
@@ -179,7 +179,7 @@ def cmd_sieve_count(args) -> str:
 def cmd_expsum_complete(args) -> dict:
     g = parse_poly(args.poly)
     pt = RationalPoint(args.a % args.q, args.q)
-    sieve = None if args.sieve is None else (SieveProfile.build(g, args.sieve), True)
+    sieve = None if args.sieve is None else SieveProfile.build(g, args.sieve)
     res = complete_sum(g, pt, sieve=sieve)
     return {
         "poly": g.to_json(),

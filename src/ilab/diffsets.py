@@ -170,6 +170,8 @@ def trivial_multiples(N: int, k: int) -> DiffFreeInstance:
     """A = {x p : 1 <= x <= p^(k-1)} for the largest prime
     N^(1/k)/2 <= p <= N^(1/k); difference-free against x^k since every
     difference is a multiple of p smaller than p^k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if N < 2**k:
         raise ValueError("need N >= 2^k")
     hi = int(round(N ** (1.0 / k)))
@@ -386,6 +388,8 @@ def ruzsa_lift(
     treated as untrusted: the result is re-verified, and a verification
     failure returns ConstructionRejected with the witness.
     """
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
     B = sorted(set(int(b) % q for b in B))
     if not B:
         raise ValueError("B must be nonempty")

@@ -51,15 +51,11 @@ class RationalPoint:
     def omega_q(self) -> int:
         return omega(self.q) if self.q > 1 else 0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
 
 @dataclass
 class ExpSumResult:
     value: complex
     n_terms: int
-    method: str
     est_abs_error: float
 
     def check_trivial_bound(self, mass: float | None = None) -> "ExpSumResult":
@@ -97,24 +93,17 @@ def frac_mul_exact(n: int, alpha: float) -> float:
 
 
 def complete_sum(
-    g: IntPolynomial,
-    pt: RationalPoint,
-    sieve: Optional[tuple[SieveProfile, bool]] = None,
+    g: IntPolynomial, pt: RationalPoint, sieve: Optional[SieveProfile] = None
 ) -> ExpSumResult:
     """sum over s in [0, q) (optionally s in W^q(Y)) of e(g(s) a / q).
 
-    sieve = (profile, True) restricts to W^q(Y) (only primes with
-    p^gamma | q active); (profile, False) restricts to full W(Y) membership
-    of s as an integer.  Phases are exact integer classes mod q.
+    A sieve profile restricts s to W^q(Y): only the primes with p^gamma | q
+    are active.  Phases are exact integer classes mod q.
     """
     q, a = pt.q, pt.a
     if q > COMPLETE_SUM_LIMIT:
         raise ResourceLimit(f"complete sums capped at q <= {COMPLETE_SUM_LIMIT}")
-    if sieve is None:
-        mask = np.ones(q, dtype=bool)
-    else:
-        profile, q_restrict = sieve
-        mask = profile.mask(q, q if q_restrict else None)
+    mask = np.ones(q, dtype=bool) if sieve is None else sieve.mask(q, q)
     classes = values_mod(g, np.arange(q, dtype=np.int64), q)
     phase_idx = (classes[mask] * (a % q)) % q
     counts = np.bincount(phase_idx, minlength=q)
@@ -124,7 +113,6 @@ def complete_sum(
     return ExpSumResult(
         value=value,
         n_terms=n_terms,
-        method="direct",
         est_abs_error=n_terms * 2.0**-46,
     ).check_trivial_bound()
 
@@ -184,7 +172,7 @@ def sqrt_cancel_audit(
         sample = units if len(units) <= n_samples else rng.sample(units, n_samples)
         best = 0.0
         for a in sorted(sample):
-            res = complete_sum(g, RationalPoint(a % q, q), sieve=(profile, True))
+            res = complete_sum(g, RationalPoint(a % q, q), sieve=profile)
             ratio = abs(res.value) / math.sqrt(q)
             tags = ",".join(tag for _, tag in crt_split(RationalPoint(a % q, q), profile))
             rows.append(
@@ -294,7 +282,6 @@ def weyl_sum(
     return ExpSumResult(
         value=_pair_tree(leaves),
         n_terms=n_terms,
-        method="rational-phase" if beta == 0.0 else "dyadic-phase",
         est_abs_error=max(mass, 1.0) * 2.0**-46,
     ).check_trivial_bound(mass)
 
@@ -353,7 +340,7 @@ def major_arc_asymptotic(
         pg = p**gamma
         if q % pg != 0:
             pref *= 1 - Fraction(j, pg)
-    S = complete_sum(g, pt, sieve=(profile, True)).value
+    S = complete_sum(g, pt, sieve=profile).value
     integral = oscillatory_integral(g, beta, X)
     rng = abs(g(X) - g(0))
     if beta != 0.0:

@@ -55,7 +55,7 @@ def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
 def _brute_roots(p: IntPolynomial, q: int) -> list[int]:
     """All residues r in [0, q) with q | p(r), by direct scan (q <= 1e6)."""
     if q > ROOTS_BRUTE_LIMIT:
-        raise ValueError(f"brute-force root scan capped at {ROOTS_BRUTE_LIMIT}")
+        raise ResourceLimit(f"brute-force root scan capped at q <= {ROOTS_BRUTE_LIMIT}")
     acc = values_mod(p, np.arange(q, dtype=np.int64), q)
     return np.nonzero(acc == 0)[0].tolist()
 
@@ -82,18 +82,34 @@ def _lift_root_level(
     return sorted(set(out))
 
 
+def _root_levels(f: IntPolynomial, p: int, roots: list[int]):
+    """Yield (j, roots of f mod p^j) for j = 1, 2, ... from the roots mod p,
+    lifting a level only when asked for it; raises ResourceLimit instead once
+    the lift's len(roots) * p candidate residues pass ROOTS_BRUTE_LIMIT."""
+    j = 1
+    while True:
+        yield j, roots
+        if len(roots) * p > ROOTS_BRUTE_LIMIT:
+            raise ResourceLimit(
+                f"singular-root lift capped at {ROOTS_BRUTE_LIMIT} residues "
+                f"({len(roots)} roots mod {p}^{j})"
+            )
+        roots = _lift_root_level(f, p, roots, j)
+        j += 1
+
+
 def _prime_power_roots(p: IntPolynomial, prime: int, e: int) -> list[int]:
-    roots = _brute_roots(p, prime)
-    for j in range(1, e):
-        roots = _lift_root_level(p, prime, roots, j)
-    return roots
+    for j, roots in _root_levels(p, prime, _brute_roots(p, prime)):
+        if j == e or not roots:
+            return roots
 
 
 def roots_mod(p: IntPolynomial, q: int) -> list[int]:
     """Sorted residues r in [0, q) with q | p(r).
 
-    Brute force for q <= 1e6; prime-power lifting composed by CRT otherwise.
-    The zero polynomial returns every residue (documented, not an error).
+    Brute force for q <= 1e6; guarded prime-power lifting composed by CRT
+    otherwise.  The zero polynomial returns every residue (documented, not an
+    error).
     """
     if q < 1:
         raise ValueError("modulus must be positive")
@@ -174,12 +190,10 @@ class RootCert:
 
     def residue_mod(self, e: int) -> int:
         """The certified root to precision p^e (lifting deeper on demand)."""
-        pe = self.p**e
         if self.exact_root is not None:
-            a, b = self.exact_root.numerator, self.exact_root.denominator
-            return a * pow(b, -1, pe) % pe
+            return _residue(self.exact_root, self.p**e)
         if e <= self.j:
-            return self.z % pe
+            return self.z % self.p**e
         return hensel_lift(self.factor, self.p, self.z, e)
 
     def verify(self, h: IntPolynomial) -> bool:
@@ -266,12 +280,12 @@ def _hensel_candidate(
 
     Returns (j, z, v) with f(z) = 0 mod p^j, v = v_p(f'(z)), j >= 2v+1,
     choosing the smallest residue at the minimal such j; None if depth is
-    exhausted first.  Raises ResourceLimit rather than lift past
-    ROOTS_BRUTE_LIMIT residues.
+    exhausted first.  Raises ResourceLimit for p past ROOTS_BRUTE_LIMIT or a
+    lift past that many residues.
     """
     df = f.derivative()
     if p > ROOTS_BRUTE_LIMIT:
-        raise ValueError("prime too large for root scan")
+        raise ResourceLimit(f"root scan capped at primes p <= {ROOTS_BRUTE_LIMIT}")
     # At j = 1 every simple root mod p is a witness with v = 0, so the
     # smallest one decides; scan ascending in growing chunks and stop there.
     # Without a simple root the scan has collected every root mod p.
@@ -287,7 +301,7 @@ def _hensel_candidate(
                 return 1, int(simple[0]), 0
             roots.extend(found.tolist())
         lo, step = hi, 2 * step
-    for j in range(1, depth + 1):
+    for j, roots in _root_levels(f, p, roots):
         pj = p**j
         witnesses = []
         for z in roots:
@@ -300,16 +314,20 @@ def _hensel_candidate(
         if witnesses:
             z, v = min(witnesses)
             return j, z, v
-        if not roots:
+        if not roots or j >= depth:
             return None
-        if j < depth:
-            if len(roots) * p > ROOTS_BRUTE_LIMIT:
-                raise ResourceLimit(
-                    f"singular-root lift capped at {ROOTS_BRUTE_LIMIT} residues "
-                    f"({len(roots)} roots mod {p}^{j})"
-                )
-            roots = _lift_root_level(f, p, roots, j)
-    return None
+
+
+def _residue(r: Fraction, pe: int) -> int:
+    """The rational r as a residue mod pe (r's denominator prime to pe)."""
+    return r.numerator * pow(r.denominator, -1, pe) % pe
+
+
+def _rational_cert(f: IntPolynomial, u: int, p: int, depth: int, r: Fraction) -> RootCert:
+    """Certificate at precision p^depth from an exact root r of the factor f
+    of multiplicity u."""
+    v = v_p_fraction(f.derivative()(r), p)
+    return RootCert(p=p, j=depth, z=_residue(r, p**depth), m=u, v=v, factor=f, exact_root=r)
 
 
 def exact_cert(
@@ -326,10 +344,7 @@ def exact_cert(
         raise ValueError("root denominator must be coprime to p")
     for f, u in square_free_decomposition(h):
         if f(r) == 0:
-            pe = p**depth
-            z = r.numerator * pow(r.denominator, -1, pe) % pe
-            v = v_p_fraction(f.derivative()(r), p)
-            return RootCert(p=p, j=depth, z=z, m=u, v=v, factor=f, exact_root=r)
+            return _rational_cert(f, u, p, depth, r)
     raise ValueError(f"{root} is not a root of {h}")
 
 
@@ -345,15 +360,17 @@ def choose_root(
     multiplicity; within a factor the witness of minimal precision wins,
     ties broken by smallest residue.  If no bounded Hensel witness exists
     for a factor, its exact rational roots with denominator coprime to p
-    are used instead; that fallback also serves a factor whose singular
-    roots would lift past ROOTS_BRUTE_LIMIT residues, and without a usable
-    rational root such a factor raises ResourceLimit.  Raises NoRootToDepth
-    when every factor fails.
+    are used instead; that fallback also serves a prime past
+    ROOTS_BRUTE_LIMIT and a factor whose singular roots would lift past that
+    many residues, and without a usable rational root such a factor raises
+    ResourceLimit.  Raises NoRootToDepth when every factor fails.
     Callers certifying many primes pass square_free_decomposition(h) as
     factors, so it is computed once rather than per prime.
     """
     if h.is_zero:
         raise ValueError("zero polynomial has every residue as a root")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if h.degree < 1:
         raise NoRootToDepth(f"constant polynomial has no p-adic root at p={p}")
     if factors is None:
@@ -369,13 +386,7 @@ def choose_root(
             return RootCert(p=p, j=j, z=z, m=u, v=v, factor=f)
         usable = [r for r in rational_roots(f) if r.denominator % p != 0]
         if usable:
-            pe = p**depth
-            pick = min(usable, key=lambda r: r.numerator * pow(r.denominator, -1, pe) % pe)
-            z = pick.numerator * pow(pick.denominator, -1, pe) % pe
-            v = v_p_fraction(f.derivative()(pick), p)
-            return RootCert(
-                p=p, j=depth, z=z, m=u, v=v, factor=f, exact_root=pick
-            )
+            return min((_rational_cert(f, u, p, depth, r) for r in usable), key=lambda c: c.z)
         if capped is not None:
             raise capped
     raise NoRootToDepth(f"no certifiable root of {h} at p={p} within depth {depth}")
@@ -431,6 +442,8 @@ def is_intersective(
     """
     if h.is_zero:
         raise ValueError("intersectivity is undefined for the zero polynomial")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     primes = primes_up_to(prime_bound)
 
     if h.degree < 1:
@@ -462,18 +475,15 @@ def is_intersective(
     if failed:
         # breadth-first emptiness scan over the uncertified primes: the
         # returned witness has minimal precision j, then minimal p
-        root_sets = {p: _brute_roots(h, p) for p in failed}
-        capped: set[int] = set()
+        levels = {p: _root_levels(h, p, _brute_roots(h, p)) for p in failed}
         for j in range(1, depth + 1):
-            for p in failed:
-                if p in capped:
+            for p in list(levels):
+                try:
+                    _, roots = next(levels[p])
+                except ResourceLimit:
+                    del levels[p]  # degenerate growth; leave undecided
                     continue
-                if j > 1:
-                    root_sets[p] = _lift_root_level(h, p, root_sets[p], j - 1)
-                    if len(root_sets[p]) > 100_000:
-                        capped.add(p)  # degenerate growth; leave undecided
-                        continue
-                if not root_sets[p]:
+                if not roots:
                     return IntersectivityVerdict(
                         "not_intersective",
                         prime_bound,

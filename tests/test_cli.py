@@ -84,6 +84,17 @@ class TestExitCodes:
         assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
         assert "capped at 2400 residues" in captured.err
 
+    def test_sieve_table_lift_guard_exits_three(self, capsys, monkeypatch):
+        # g' = 2048x vanishes at every residue mod 2^11; above the limit the
+        # modulus 2^12 takes the lifting route, whose lift from 2^9 asks for
+        # 512 * 2 = 1024 residues
+        monkeypatch.setattr("ilab.padic.ROOTS_BRUTE_LIMIT", 1000)
+        code = main(["sieve", "table", "--poly", "1024x^2", "--Y", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
+        assert "capped at 1000 residues (512 roots mod 2^9)" in captured.err
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")
@@ -102,12 +113,23 @@ class TestExitCodes:
             (("sets", "ruzsa", "--B", "0,2", "--q", "5", "--k", "2", "--N", "0"), "N must be"),
             (("expsum", "complete", "--poly", "x^3", "-a", "5", "-q", "360"),
              "a = 5, q = 360, gcd = 5"),
+            (("sets", "ruzsa", "--B", "0", "--q", "1", "--k", "2", "--N", "10"),
+             "q must be >= 2, got 1"),
+            (("sets", "trivial", "--N", "10", "--k", "-1"), "k must be >= 1, got -1"),
+            (("sets", "trivial", "--N", "10", "--k", "0"), "k must be >= 1, got 0"),
+            (("circle", "dft", "--set", "{empty}"), "N must be >= 1, got 0"),
+            (("circle", "dft", "--set", "{ten}", "--N", "0"), "N must be >= 1, got 0"),
+            (("intersect", "check", "--poly", "x^2", "--depth", "0"), "depth must be >= 1, got 0"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
-             "ruzsa-N0", "unreduced-a-q"],
+             "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0",
+             "dft-empty-header", "dft-N0", "intersect-depth0"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
-        code = main([a.format(missing=tmp_path / "missing.dfset") for a in argv])
+        save_dfset(tmp_path / "empty.dfset", [], 0)
+        save_dfset(tmp_path / "ten.dfset", [1, 2, 5], 10)
+        files = {name: tmp_path / f"{name}.dfset" for name in ("missing", "empty", "ten")}
+        code = main([a.format(**files) for a in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "Traceback" not in captured.err

@@ -63,7 +63,7 @@ class TestCompleteSum:
 
     def test_sieved_vanishing_q9(self):
         pr = SieveProfile.build(X2, 20)
-        res = complete_sum(X2, RationalPoint(1, 9), sieve=(pr, True))
+        res = complete_sum(X2, RationalPoint(1, 9), sieve=pr)
         assert abs(res.value) < 1e-9
 
     def test_q1(self):
@@ -135,7 +135,7 @@ class TestCrtSplit:
             while math.gcd(a, q) != 1:
                 a = rng.randrange(1, q)
             pt = RationalPoint(a, q)
-            for sieve in (None, (pr, True)):
+            for sieve in (None, pr):
                 full = complete_sum(g, pt, sieve=sieve).value
                 prod = 1 + 0j
                 for part, _ in crt_split(pt, pr):

@@ -295,6 +295,41 @@ class TestLiftCap:
         assert max(sizes) <= padic.ROOTS_BRUTE_LIMIT
 
 
+class TestGuardedLifts:
+    """Every root-set lift (witness scan, prime-power roots, Hensel witness)
+    goes through the one ROOTS_BRUTE_LIMIT guard, which raises ResourceLimit."""
+
+    def test_witness_scan_leaves_a_capped_prime_unresolved(self, monkeypatch):
+        # x^2 + 2003 has only the singular root 0 mod 2003, and h(0) = -2003^5:
+        # the scan's lift to j = 3 would ask for 2003 * 2003 residues
+        sizes = TestLiftCap.lifted_sizes(monkeypatch)
+        v = is_intersective(parse_poly("(2003x-1)(x^2+2003)^5"), 2003, 4)
+        assert (v.status, v.unresolved) == ("unknown", [2003])
+        assert max(sizes) <= padic.ROOTS_BRUTE_LIMIT
+
+    def test_prime_power_route_is_guarded(self):
+        # 2^19 x vanishes at every residue mod 2^19: 2^19 roots would each lift
+        # to 2 candidates mod 2^20
+        with pytest.raises(ResourceLimit, match=f"capped at {padic.ROOTS_BRUTE_LIMIT} residues"):
+            roots_mod(IntPolynomial([0, 2**19]), 2**20)
+
+    def test_prime_past_the_limit(self):
+        p = 1000003
+        c = choose_root(parse_poly("x^2-x"), p)
+        assert (c.j, c.z, c.v, c.exact_root) == (8, 0, 0, Fraction(0))
+        assert c.verify(parse_poly("x^2-x"))
+        with pytest.raises(ResourceLimit, match="primes p <= 1000000"):
+            choose_root(QUINTIC, p)
+        with pytest.raises(ResourceLimit, match="q <= 1000000"):
+            padic._brute_roots(QUINTIC, p)
+
+    def test_depth_must_be_positive(self):
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            is_intersective(X2, 10, 0)
+        with pytest.raises(ValueError, match="depth must be >= 1, got -1"):
+            choose_root(X2, 5, -1)
+
+
 class TestRationalRoots:
     def test_finds_all(self):
         p = parse_poly("(2x-1)(3x-1)(x-4)")
