@@ -199,7 +199,7 @@ def check_7_brun(quick: bool = False) -> dict:
     """Brun main-term accuracy at g=x^2, Y=20, X=1e7, plus exact periodicity."""
     X = 10**6 if quick else 10**7
     profile = SieveProfile.build(X2, 20)
-    exact, _ = enumerate_w(profile, X)
+    exact = enumerate_w(profile, X)
     main = float(X * profile.density())
     rel = abs(exact - main) / X
     M = profile.modulus

@@ -78,6 +78,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, from its factorization."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
 def omega(n: int) -> int:
     """Number of distinct prime factors."""
     return len(factorize(n))

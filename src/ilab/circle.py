@@ -112,20 +112,14 @@ def arc_frequencies(
     return out
 
 
-def arc_mass(fd: FourierData, q: int, K: Union[float, Fraction]) -> float:
-    """sum over t in M_q(N, K) of |hat F(t)|^2 (reduced fractions, t != 0)."""
+def arc_mass(
+    fd: FourierData, q: int, K: Union[float, Fraction], reduced_only: bool = True
+) -> float:
+    """sum over t in M_q(N, K) of |hat F(t)|^2 (reduced fractions, t != 0),
+    or over M'_q(N, K) = union of M_r over r | q when not reduced_only."""
     if q > fd.N:
         raise ValueError("q must not exceed N")
-    ts = arc_frequencies(fd.N, K, q, reduced_only=True)
-    if not ts:
-        return 0.0
-    idx = np.fromiter(ts, dtype=np.int64)
-    return float(np.sum(np.abs(fd.values[idx]) ** 2))
-
-
-def arc_mass_divisors(fd: FourierData, q: int, K: Union[float, Fraction]) -> float:
-    """Mass over M'_q(N, K) = union of M_r over r | q (all a in [1, q])."""
-    ts = arc_frequencies(fd.N, K, q, reduced_only=False)
+    ts = arc_frequencies(fd.N, K, q, reduced_only)
     if not ts:
         return 0.0
     idx = np.fromiter(ts, dtype=np.int64)
@@ -201,6 +195,7 @@ def extract_progression(
     wrapped translate into at most two genuine progressions), otherwise use
     the positive-mass branch over the non-wrapping translates.  The returned
     progression is re-verified by direct counting before being returned.
+    Raises ValueError for q > L.
     """
     if not B:
         return NoIncrement("empty set")
@@ -210,7 +205,7 @@ def extract_progression(
         raise ValueError("theta must be in (0, 1]")
     K_f = Fraction(K)
 
-    mass = arc_mass_divisors(dft_indicator(B, L), q, K_f)
+    mass = arc_mass(dft_indicator(B, L), q, K_f, reduced_only=False)
     required = float(theta_f * sigma * sigma)
     if mass < required:
         return NoIncrement("insufficient arc mass", mass=mass, required_mass=required)

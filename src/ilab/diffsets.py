@@ -19,11 +19,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import factorize, integer_nth_root, is_prime
 from .auxiliary import image_elements
+from .padic import ResourceLimit
 from .poly import IntPolynomial
 
-FORBIDDEN_LIMIT = 2**28
+SUMSET_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,22 @@ def _lsb_index(m: int) -> int:
 
 
 def forbidden_sumset(generators: Sequence[IntPolynomial], N: int) -> list[int]:
-    """I(g_1) + ... + I(g_l) truncated to [1, N-1], as a sorted list."""
+    """I(g_1) + ... + I(g_l) truncated to [1, N-1], as a sorted list.
+
+    Each step forms |acc| * |img| pair sums; that product is capped at
+    SUMSET_LIMIT.
+    """
     if not generators:
         raise ValueError("at least one generator required")
     acc = {0}
     for g in generators:
         img = image_elements(g, N - 1)
+        if len(acc) * len(img) > SUMSET_LIMIT:
+            raise ResourceLimit(
+                f"forbidden sumset capped at {SUMSET_LIMIT} pair sums per generator "
+                f"({len(acc)} x {len(img)})"
+            )
         acc = {a + v for a in acc for v in img if a + v <= N - 1}
-        if len(acc) > FORBIDDEN_LIMIT:
-            raise MemoryError("forbidden sumset exceeds the memory guard")
         if not acc:
             return []
     return sorted(v for v in acc if v >= 1)
@@ -174,11 +182,7 @@ def trivial_multiples(N: int, k: int) -> DiffFreeInstance:
         raise ValueError(f"k must be >= 1, got {k}")
     if N < 2**k:
         raise ValueError("need N >= 2^k")
-    hi = int(round(N ** (1.0 / k)))
-    while (hi + 1) ** k <= N:
-        hi += 1
-    while hi**k > N:
-        hi -= 1
+    hi = integer_nth_root(N, k)
     lo = -(-hi // 2)  # ceil(N^(1/k) / 2) within integer truncation
     p = next((c for c in range(hi, lo - 1, -1) if is_prime(c)), None)
     assert p is not None, "Bertrand guarantees a prime in [N^(1/k)/2, N^(1/k)]"

@@ -16,6 +16,7 @@ the final rounding.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +30,7 @@ from .sieve import SieveProfile
 
 COMPLETE_SUM_LIMIT = 4 * 10**6
 WEYL_LIMIT = 10**8
+MOMENT_LIMIT = 2 * 10**6
 WEYL_CHUNK = 2**18
 DEFAULT_BLOCK = 4096
 
@@ -49,7 +51,7 @@ class RationalPoint:
 
     @property
     def omega_q(self) -> int:
-        return omega(self.q) if self.q > 1 else 0
+        return omega(self.q)
 
 
 @dataclass
@@ -158,8 +160,6 @@ def sqrt_cancel_audit(
     smallest C with max-ratio <= gcd(cont(g), q)^3 * C^omega(q) over
     composite-aware q; the true constant is ineffective, so nothing is asserted.
     """
-    import random
-
     if g.degree < 2:
         raise ValueError("audit requires degree >= 2")
     rng = random.Random(seed)
@@ -168,56 +168,46 @@ def sqrt_cancel_audit(
     rows = []
     fitted_c = 0.0
     for q in range(1, q_max + 1):
-        units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
+        units = [a for a in range(q) if math.gcd(a, q) == 1]  # [0] at q = 1
         sample = units if len(units) <= n_samples else rng.sample(units, n_samples)
         best = 0.0
         for a in sorted(sample):
-            res = complete_sum(g, RationalPoint(a % q, q), sieve=profile)
-            ratio = abs(res.value) / math.sqrt(q)
-            tags = ",".join(tag for _, tag in crt_split(RationalPoint(a % q, q), profile))
+            pt = RationalPoint(a, q)
+            abs_sum = abs(complete_sum(g, pt, sieve=profile).value)
+            ratio = abs_sum / math.sqrt(q)
             rows.append(
                 {
                     "q": q,
                     "a": a,
-                    "abs_sum": abs(res.value),
+                    "abs_sum": abs_sum,
                     "ratio_sqrt": ratio,
-                    "omega_q": omega(q) if q > 1 else 0,
-                    "class_tags": tags,
+                    "omega_q": pt.omega_q,
+                    "class_tags": ",".join(tag for _, tag in crt_split(pt, profile)),
                 }
             )
             best = max(best, ratio)
         if q > 1:
-            om = omega(q)
             denom = math.gcd(cg, q) ** 3
             if best / denom > 0:
-                fitted_c = max(fitted_c, (best / denom) ** (1.0 / om))
+                fitted_c = max(fitted_c, (best / denom) ** (1.0 / omega(q)))
     summary = {"q_max": q_max, "Y": Y, "fitted_C": fitted_c, "rows": len(rows)}
     return rows, summary
-
-
-def _normalize_alpha(alpha) -> tuple[Fraction, float]:
-    if isinstance(alpha, Fraction):
-        return alpha, 0.0
-    if isinstance(alpha, tuple):
-        rat, beta = alpha
-        return Fraction(rat), float(beta)
-    return Fraction(0), float(alpha)
 
 
 def _weyl_terms(
     g: IntPolynomial,
     dg: Optional[IntPolynomial],
-    a: int,
-    q: int,
+    pt: RationalPoint,
     beta: float,
     n: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """The terms [g'(n)] e(g(n) (a/q + beta)) at the integers n, and their mass."""
-    if q <= 10**6:
-        idx = (values_mod(g, n, q) * a) % q
+    q = pt.q
+    if q * q < 2**63:
+        idx = (values_mod(g, n, q) * pt.a) % q
     else:
-        # denominator too large for int64 Horner; exact big-int fallback
-        idx = np.array([g.eval_mod(int(t), q) * a % q for t in n.tolist()])
+        # q too large for int64 Horner; exact big-int residues
+        idx = np.array([g.eval_mod(int(t), q) * pt.a % q for t in n.tolist()])
     phases = idx.astype(np.float64) / q
     if beta != 0.0:
         num, den = beta.as_integer_ratio()
@@ -238,17 +228,17 @@ def _weyl_terms(
 
 def weyl_sum(
     g: IntPolynomial,
-    alpha,
+    pt: RationalPoint,
     X: int,
     profile: Optional[SieveProfile] = None,
     weighted: bool = False,
+    beta: float = 0.0,
 ) -> ExpSumResult:
     """sum over n <= X (n in W(Y) if a profile is given) of
-    [g'(n)] * e(g(n) * alpha).
+    [g'(n)] * e(g(n) * (a/q + beta)).
 
-    alpha may be a float, an exact Fraction, or a (Fraction, float) pair
-    meaning a/q + beta.  The rational part uses exact residue classes; the
-    real part uses exact dyadic multiplication.  The terms are generated
+    The rational part a/q uses exact residue classes; the real part beta
+    uses exact dyadic multiplication.  The terms are generated
     WEYL_CHUNK integers at a time and summed in the fixed blocks of
     pairwise_sum, the fewer than DEFAULT_BLOCK terms left at a chunk's end
     carrying into the next, so memory stays bounded and the value is the
@@ -256,9 +246,6 @@ def weyl_sum(
     """
     if X > WEYL_LIMIT:
         raise ResourceLimit(f"Weyl sums capped at X <= {WEYL_LIMIT}")
-    rat, beta = _normalize_alpha(alpha)
-    q = rat.denominator
-    a = rat.numerator % q
     dg = g.derivative() if weighted else None
     leaves: list[complex] = []
     carry = np.zeros(0, dtype=np.complex128)
@@ -267,7 +254,7 @@ def weyl_sum(
         n = np.arange(lo, min(lo + WEYL_CHUNK, X + 1), dtype=np.int64)
         if profile is not None:
             n = n[profile.mask(len(n), lo=lo)]
-        terms, chunk_mass = _weyl_terms(g, dg, a, q, beta, n)
+        terms, chunk_mass = _weyl_terms(g, dg, pt, beta, n)
         n_terms += len(n)
         mass += chunk_mass
         terms = np.concatenate((carry, terms))
@@ -343,12 +330,10 @@ def major_arc_asymptotic(
     S = complete_sum(g, pt, sieve=profile).value
     integral = oscillatory_integral(g, beta, X)
     rng = abs(g(X) - g(0))
-    if beta != 0.0:
-        vdc_ok = bool(abs(integral) <= min(rng, 1.0 / (math.pi * abs(beta))) * (1 + 1e-9))
-    else:
-        vdc_ok = bool(abs(integral) <= rng * (1 + 1e-9))
+    cap = min(rng, 1.0 / (math.pi * abs(beta))) if beta != 0.0 else rng
+    vdc_ok = bool(abs(integral) <= cap * (1 + 1e-9))
     main = float(pref) * S * integral
-    actual = weyl_sum(g, (Fraction(pt.a, q), beta), X, profile, weighted=True).value
+    actual = weyl_sum(g, pt, X, profile, weighted=True, beta=beta).value
     abs_err = abs(main - actual)
     rel_err = abs_err / abs(main) if main != 0 else math.inf
     return MajorArcResult(
@@ -370,6 +355,16 @@ class MinorArcAudit:
     nontrivial: bool  # the constant-1 bound actually beats the trivial X
 
 
+def _weyl_inner(g: IntPolynomial, q: int, X: int, Z: float) -> float:
+    """(Weyl factor)^(2^k) of the minor-arc envelopes:
+    a_k log^(k^2)(a_k q X) (q^-1 + Z/X + q Z^k/(a_k X^k)); Z = 1 is unsieved."""
+    k = g.degree
+    ak = g.leading
+    if ak <= 0:
+        raise ValueError("positive leading coefficient required")
+    return ak * math.log(ak * q * X) ** (k * k) * (1.0 / q + Z / X + q * Z**k / (ak * X**k))
+
+
 def weyl_minor_bound(g: IntPolynomial, pt: RationalPoint, X: int) -> MinorArcAudit:
     """Weyl-inequality audit at alpha = a/q (the hypothesis' worst case).
 
@@ -377,19 +372,13 @@ def weyl_minor_bound(g: IntPolynomial, pt: RationalPoint, X: int) -> MinorArcAud
     with implied constant 1; the ratio actual/bound is monitoring data, and
     q = 1 (or bound >= X) is flagged uninformative.
     """
-    k = g.degree
-    ak = g.leading
-    if ak <= 0:
-        raise ValueError("positive leading coefficient required")
-    q = pt.q
-    inner = ak * math.log(ak * q * X) ** (k * k) * (1.0 / q + 1.0 / X + q / (ak * X**k))
-    bound = X * inner ** (2.0**-k)
-    actual = abs(weyl_sum(g, Fraction(pt.a, q), X).value)
+    bound = X * _weyl_inner(g, pt.q, X, 1) ** (2.0**-g.degree)
+    actual = abs(weyl_sum(g, pt, X).value)
     return MinorArcAudit(
         bound=bound,
         actual_abs=actual,
         ratio=actual / bound if bound > 0 else math.inf,
-        informative=q > 1,
+        informative=pt.q > 1,
         nontrivial=bound < X,
     )
 
@@ -402,26 +391,19 @@ def sieved_minor_audit(
     if min(X, Y, Z) < 2:
         raise ValueError("X, Y, Z must all be >= 2")
     k = g.degree
-    ak = g.leading
-    if ak <= 0:
-        raise ValueError("positive leading coefficient required")
-    q = pt.q
-    profile = SieveProfile.build(g, Y)
-    inner = ak * math.log(ak * q * X) ** (k * k) * (
-        1.0 / q + Z / X + q * Z**k / (ak * float(X) ** k)
-    )
+    inner = _weyl_inner(g, pt.q, X, Z)
     bound = (
         content(g) ** 5
         * math.log(Y) ** (math.e * k)
         * X
         * (math.exp(-math.log(Z) / math.log(Y)) + inner ** (2.0**-k))
     )
-    actual = abs(weyl_sum(g, Fraction(pt.a, q), X, profile).value)
+    actual = abs(weyl_sum(g, pt, X, SieveProfile.build(g, Y)).value)
     return MinorArcAudit(
         bound=bound,
         actual_abs=actual,
         ratio=actual / bound if bound > 0 else math.inf,
-        informative=q > 1 and Z > Y,
+        informative=pt.q > 1 and Z > Y,
         nontrivial=bound < X,
     )
 
@@ -435,8 +417,8 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be a positive even integer")
-    if L > 2 * 10**6:
-        raise ResourceLimit("moment sums capped at L <= 2e6")
+    if L > MOMENT_LIMIT:
+        raise ResourceLimit(f"moment sums capped at L <= {MOMENT_LIMIT}")
     k = g.degree
     b = g.leading
     if b <= 0:

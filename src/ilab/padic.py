@@ -4,13 +4,14 @@ intersectivity verdicts with reproducible p-adic root certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, primes_up_to, v_p, v_p_fraction
+from .arith import divisors, factorize, primes_up_to, v_p, v_p_fraction
 from .poly import IntPolynomial, exact_div, square_free_decomposition
 
 ROOTS_BRUTE_LIMIT = 10**6
@@ -239,37 +240,22 @@ class RootCert:
 
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """All rational roots of p, by the rational root theorem (exact)."""
+    """All rational roots of p, by the rational root theorem (exact): each
+    nonzero one is +-num/den in lowest terms with num | a_0 and den | a_k."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     coeffs = list(p.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
+    out = [Fraction(0)] if coeffs[0] == 0 else []
+    while coeffs[0] == 0:
         coeffs.pop(0)
-        shift += 1
-    out = [Fraction(0)] if shift else []
-    if not coeffs or len(coeffs) == 1:
-        return sorted(out)
+    if len(coeffs) == 1:
+        return out
     trimmed = IntPolynomial(coeffs)
-    a0, ak = abs(coeffs[0]), abs(coeffs[-1])
-
-    def divisors(n: int) -> list[int]:
-        ds = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                ds.append(d)
-                if d != n // d:
-                    ds.append(n // d)
-            d += 1
-        return ds
-
-    for num in divisors(a0):
-        for den in divisors(ak):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                if trimmed(r) == 0 and r not in out:
-                    out.append(r)
+    dens = divisors(abs(coeffs[-1]))
+    for num in divisors(abs(coeffs[0])):
+        for den in dens:
+            if math.gcd(num, den) == 1:
+                out += [r for r in (Fraction(num, den), Fraction(-num, den)) if trimmed(r) == 0]
     return sorted(out)
 
 
@@ -362,8 +348,8 @@ def choose_root(
     for a factor, its exact rational roots with denominator coprime to p
     are used instead; that fallback also serves a prime past
     ROOTS_BRUTE_LIMIT and a factor whose singular roots would lift past that
-    many residues, and without a usable rational root such a factor raises
-    ResourceLimit.  Raises NoRootToDepth when every factor fails.
+    many residues.  When no factor certifies, the first such guard is raised
+    as ResourceLimit, and otherwise NoRootToDepth.
     Callers certifying many primes pass square_free_decomposition(h) as
     factors, so it is computed once rather than per prime.
     """
@@ -375,20 +361,20 @@ def choose_root(
         raise NoRootToDepth(f"constant polynomial has no p-adic root at p={p}")
     if factors is None:
         factors = square_free_decomposition(h)
+    capped = None
     for f, u in factors:
-        capped = None
         try:
             cand = _hensel_candidate(f, p, depth)
         except ResourceLimit as exc:
-            cand, capped = None, exc
+            cand, capped = None, capped or exc
         if cand is not None:
             j, z, v = cand
             return RootCert(p=p, j=j, z=z, m=u, v=v, factor=f)
         usable = [r for r in rational_roots(f) if r.denominator % p != 0]
         if usable:
             return min((_rational_cert(f, u, p, depth, r) for r in usable), key=lambda c: c.z)
-        if capped is not None:
-            raise capped
+    if capped is not None:
+        raise capped
     raise NoRootToDepth(f"no certifiable root of {h} at p={p} within depth {depth}")
 
 

@@ -19,7 +19,6 @@ from .arith import count_congruent_in_range, crt_pair, primes_up_to
 from .padic import ResourceLimit, roots_mod
 from .poly import IntPolynomial
 
-LIST_LIMIT = 10**7
 COUNT_NODE_LIMIT = 10**7
 
 
@@ -131,25 +130,12 @@ def _count_avoiding(items: list[tuple[int, tuple[int, ...]]], X: int) -> int:
     return rec(0, 0, 1)
 
 
-def enumerate_w(
-    profile: SieveProfile, X: int, want_list: bool = False
-) -> tuple[int, list[int] | None]:
-    """Exact |[1, X] cap W(Y)|, optionally with the member list.
-
-    The count is computed by inclusion-exclusion over the per-prime root
-    classes (exact integers); the list comes from the membership mask and
-    is capped at X <= 1e7.
-    """
+def enumerate_w(profile: SieveProfile, X: int) -> int:
+    """Exact |[1, X] cap W(Y)|, by inclusion-exclusion over the per-prime
+    root classes (exact integers)."""
     if X < 1:
-        return 0, ([] if want_list else None)
-    count = _count_avoiding(list(profile._active()), X)
-    members = None
-    if want_list:
-        if X > LIST_LIMIT:
-            raise MemoryError(f"member list capped at X <= {LIST_LIMIT}")
-        members = (np.flatnonzero(profile.mask(X + 1)[1:]) + 1).tolist()
-        assert len(members) == count
-    return count, members
+        return 0
+    return _count_avoiding(list(profile._active()), X)
 
 
 @dataclass
@@ -166,7 +152,7 @@ def brun_compare(profile: SieveProfile, X: int) -> BrunComparison:
     The error constant of the main-term estimate is not explicit, so the
     comparison is reported as data; in_regime flags X >= Y^2.
     """
-    exact, _ = enumerate_w(profile, X)
+    exact = enumerate_w(profile, X)
     main = float(X * profile.density())
     rel = abs(exact - main) / X if X > 0 else 0.0
     return BrunComparison(

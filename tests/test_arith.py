@@ -1,10 +1,11 @@
-"""Integer arithmetic against sympy: factorize by trial division."""
+"""Integer arithmetic against sympy: factorize by trial division and the
+divisors built from it."""
 
 import random
 
 import pytest
 
-from ilab.arith import factorize
+from ilab.arith import divisors, factorize
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,3 +33,11 @@ def test_factorize_rejects_nonpositive():
     for n in (0, -1, -12):
         with pytest.raises(ValueError):
             factorize(n)
+
+
+def test_divisors_match_sympy():
+    rng = random.Random(1730)
+    cases = list(range(1, 500)) + [rng.randint(1, 10**12) for _ in range(20)]
+    cases += [10**14, 10**18, 2**40, 999983**2]
+    for n in cases:
+        assert divisors(n) == sympy.divisors(n), n

@@ -14,7 +14,6 @@ from ilab.circle import (
     Progression,
     arc_frequencies,
     arc_mass,
-    arc_mass_divisors,
     classify,
     correlation_counts,
     dft_indicator,
@@ -161,7 +160,7 @@ class TestArcMass:
         fd = dft_indicator(A, N)
         ts = arc_frequencies(N, 2, 6, reduced_only=False)
         expect = sum(abs(fd.values[t]) ** 2 for t in ts)
-        assert arc_mass_divisors(fd, 6, 2) == pytest.approx(expect)
+        assert arc_mass(fd, 6, 2, reduced_only=False) == pytest.approx(expect)
         union = set()
         for r in (1, 2, 3, 6):
             union |= arc_frequencies(N, 2, r, reduced_only=True)

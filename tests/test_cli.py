@@ -95,6 +95,14 @@ class TestExitCodes:
         assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
         assert "capped at 1000 residues (512 roots mod 2^9)" in captured.err
 
+    def test_sumset_guard_exits_three(self, capsys):
+        # the third x^2 would form 215907 x 999 pair sums
+        code = main(["sets", "greedy", "--gens", "x^2;x^2;x^2", "--N", "1000000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
+        assert "capped at 100000000 pair sums" in captured.err
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")
@@ -120,10 +128,12 @@ class TestExitCodes:
             (("circle", "dft", "--set", "{empty}"), "N must be >= 1, got 0"),
             (("circle", "dft", "--set", "{ten}", "--N", "0"), "N must be >= 1, got 0"),
             (("intersect", "check", "--poly", "x^2", "--depth", "0"), "depth must be >= 1, got 0"),
+            (("circle", "increment", "--set", "{ten}", "--q", "11", "--K", "1", "--theta", "0.5"),
+             "q must not exceed N"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
              "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0",
-             "dft-empty-header", "dft-N0", "intersect-depth0"],
+             "dft-empty-header", "dft-N0", "intersect-depth0", "increment-q-past-L"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         save_dfset(tmp_path / "empty.dfset", [], 0)

@@ -181,10 +181,10 @@ class TestSqrtCancelAudit:
 
 class TestWeylSum:
     def test_alpha_zero(self):
-        assert weyl_sum(X2, 0.0, 100).value == pytest.approx(100 + 0j)
+        assert weyl_sum(X2, RationalPoint(0, 1), 100).value == pytest.approx(100 + 0j)
 
     def test_quarter_four_terms(self):
-        res = weyl_sum(X2, Fraction(1, 4), 4)
+        res = weyl_sum(X2, RationalPoint(1, 4), 4)
         assert res.value == pytest.approx(2 + 2j, abs=1e-12)
 
     def test_rational_phase_class_oracle(self):
@@ -201,7 +201,8 @@ class TestWeylSum:
             expected = sum(
                 c * cmath.exp(2j * cmath.pi * r / q) for r, c in enumerate(counts)
             )
-            got = weyl_sum(g, Fraction(a, q), X).value
+            r = Fraction(a, q)
+            got = weyl_sum(g, RationalPoint(r.numerator, r.denominator), X).value
             assert abs(got - expected) < 1e-9 * X
 
     def test_exact_dyadic_phase(self):
@@ -223,7 +224,7 @@ class TestWeylSum:
             for n in range(1, X + 1)
             if mask[n]
         )
-        got = weyl_sum(X2, Fraction(1, 3), X, profile=pr, weighted=True).value
+        got = weyl_sum(X2, RationalPoint(1, 3), X, profile=pr, weighted=True).value
         assert abs(got - direct) < 1e-9 * X * X
 
     def test_pairwise_sum_matches(self):
@@ -233,7 +234,7 @@ class TestWeylSum:
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
-            weyl_sum(X2, 0.0, 10**8 + 1)
+            weyl_sum(X2, RationalPoint(0, 1), 10**8 + 1)
 
 
 def materialized_weyl_sum(g, alpha, X, profile=None, weighted=False):
@@ -271,7 +272,9 @@ class TestStreamedWeylSum:
 
     @staticmethod
     def assert_identical(g, alpha, X, profile, weighted):
-        res = weyl_sum(g, alpha, X, profile, weighted=weighted)
+        rat, beta = (alpha, 0.0) if isinstance(alpha, Fraction) else alpha
+        pt = RationalPoint(rat.numerator, rat.denominator)
+        res = weyl_sum(g, pt, X, profile, weighted=weighted, beta=beta)
         value, n_terms = materialized_weyl_sum(g, alpha, X, profile, weighted)
         assert (res.value.real.hex(), res.value.imag.hex(), res.n_terms) == (
             value.real.hex(),
@@ -295,7 +298,8 @@ class TestStreamedWeylSum:
         [
             ((Fraction(1, 3), 3.7e-7), True, True),
             ((Fraction(0), 1e-9), False, False),
-            ((Fraction(5, 10**6 + 3), 0.0), True, False),  # exact big-int phases
+            ((Fraction(5, 10**6 + 3), 0.0), True, False),  # values_mod past 1e6
+            ((Fraction(7, 3037000507), 0.0), False, False),  # q*q >= 2^63: big-int phases
         ],
     )
     def test_slow_phase_paths(self, alpha, sieved, weighted):
@@ -308,12 +312,11 @@ class TestStreamedWeylSum:
         # own VmHWM: ru_maxrss would carry over the peak of this test process,
         # which a child inherits through fork and exec
         code = (
-            "from fractions import Fraction\n"
-            "from ilab.expsum import weyl_sum\n"
+            "from ilab.expsum import RationalPoint, weyl_sum\n"
             "from ilab.poly import parse_poly\n"
             "from ilab.sieve import SieveProfile\n"
             "g = parse_poly('x^2')\n"
-            "weyl_sum(g, (Fraction(1, 3), 0.0), 2 * 10**7, SieveProfile.build(g, 10), weighted=True)\n"
+            "weyl_sum(g, RationalPoint(1, 3), 2 * 10**7, SieveProfile.build(g, 10), weighted=True)\n"
             "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
             "print(status.split()[0])\n"
         )
@@ -395,6 +398,33 @@ class TestMinorAudits:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sieved_minor_audit(X2, RationalPoint(1, 3), 10, 1, 10)
+
+    @pytest.mark.parametrize(
+        "g, a, q, X, bound",
+        [
+            (X2, 1, 9973, 10**4, "0x1.7abdbe3f23c96p+14"),
+            (X2, 0, 1, 100, "0x1.cdacea02a3483p+8"),
+            (X3, 2, 97, 5000, "0x1.8f1a53dbd1c49p+15"),
+            (H2, 3, 7, 20000, "0x1.663be13fc70d6p+17"),
+            (X3, 1, 499, 10**5, "0x1.1d502e6f50b52p+20"),
+        ],
+    )
+    def test_weyl_bound_bits(self, g, a, q, X, bound):
+        # bit-exact pins: a rewrite of the envelope formulas must keep them
+        assert weyl_minor_bound(g, RationalPoint(a, q), X).bound.hex() == bound
+
+    @pytest.mark.parametrize(
+        "g, a, q, X, Y, Z, bound",
+        [
+            (X2, 1, 499, 10**5, 20, 10**3, "0x1.4c26d2bf5ebf2p+28"),
+            (X2, 1, 499, 10**5, 20, 10, "0x1.3caadb5929497p+27"),
+            (X3, 2, 97, 5000, 5, 50, "0x1.4af1771afd6c6p+21"),
+            (H2, 3, 7, 20000, 7, 100, "0x1.a997af7e2f3c5p+22"),
+            (X2, 1, 3, 10, 2, 10, "0x1.af5b4f5483dfep+2"),
+        ],
+    )
+    def test_sieved_bound_bits(self, g, a, q, X, Y, Z, bound):
+        assert sieved_minor_audit(g, RationalPoint(a, q), X, Y, Z).bound.hex() == bound
 
 
 def reference_moment_sum(g, L, m, profile):

@@ -268,6 +268,22 @@ class TestLiftCap:
         with pytest.raises(ResourceLimit, match="capped at 2400 residues"):
             choose_root(self.IRRATIONAL, 7)
 
+    def test_a_capped_factor_does_not_stop_the_next(self):
+        # 208120802 = 2 * 101^4: the first factor's lift from 101^4 would ask
+        # for 10201 * 101 residues, but the squared factor x - 1 certifies
+        h = parse_poly("(x^2-208120802)(x-1)^2")
+        c = choose_root(h, 101)
+        assert (c.j, c.z, c.m, c.v, c.exact_root) == (1, 1, 2, 0, None)
+        assert c.verify(h)
+
+    def test_guard_raised_when_no_factor_certifies(self, monkeypatch):
+        # x^2 - 3*7^4 has no 7-adic root (3 is a non-residue mod 7), so only
+        # the capped lift of the squared factor is left to report
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 2400)
+        h = parse_poly("(x^2-7203)(x^2-235298)^2")
+        with pytest.raises(ResourceLimit, match="capped at 2400 residues"):
+            choose_root(h, 7)
+
     def test_capped_lift_takes_the_rational_root(self, monkeypatch):
         # unbounded, depth 10 lifts 2401 roots mod 7^8 and finds the witness
         # at j = 9; capped, the exact root 0 certifies instead
@@ -337,6 +353,23 @@ class TestRationalRoots:
 
     def test_zero_root(self):
         assert Fraction(0) in rational_roots(parse_poly("x^3+x^2"))
+
+    def test_against_sympy_factor_list(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        rng = random.Random(341)
+        polys = [parse_poly("x^2-100000000000000x"), parse_poly("x^2-1000000000000000000x")]
+        for _ in range(30):
+            p = IntPolynomial([rng.randint(-30, 30) or 1, rng.randint(-5, 5), 1])
+            for _ in range(rng.randint(1, 3)):
+                b = rng.choice([1, 2, 6, 35, 1000])
+                p = p * IntPolynomial([rng.randint(-10**4, 10**4), b])
+            polys.append(p)
+        for p in polys:
+            _, factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(p.coeffs)))
+            linear = [sympy.Poly(f, x).all_coeffs() for f, _ in factors]
+            expect = sorted({-Fraction(int(c[1]), int(c[0])) for c in linear if len(c) == 2})
+            assert rational_roots(p) == expect, p
 
 
 class TestIsIntersective:
