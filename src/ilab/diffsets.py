@@ -2,9 +2,12 @@
 
 Instances pair an interval [1, N] with a list of generator polynomials; the
 forbidden differences are the sumset I(g_1) + ... + I(g_l) of positive image
-elements, truncated to [1, N-1].  Verification runs over the forbidden set
-with bitset shift-AND; constructions (greedy scan, multiples of a prime,
-base-q digit lifts of modular sets) are always re-verified.  Modular
+elements, truncated to [1, N-1].  Verification picks the cheaper of two
+exact checks: the |A|(|A|-1)/2 pairwise differences looked up in the sorted
+forbidden set F, or one shift-AND of A's bitset per forbidden value,
+|F|*ceil(N/64) machine words.  The bitset is packed from a bool mask, so it
+costs O(N) bytes to build.  Constructions (greedy scan, multiples of a
+prime, base-q digit lifts of modular sets) are always re-verified.  Modular
 instances search maximum independent sets in the Cayley graph of Z/q with
 connection set the k-th power residues (symmetrized).
 """
@@ -15,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +28,12 @@ from .padic import ResourceLimit
 from .poly import IntPolynomial
 
 SUMSET_LIMIT = 10**8
+BITSET_LIMIT = 2**28  # bits, so the bool mask behind one bitset stays <= 256 MiB
+SEARCH_Q_LIMIT = 1000
+GREEDY_CHUNK = 2**14
+# one searchsorted lookup of a difference costs about as much as 8 words of
+# big-int shift-AND (measured on difference-free sets with N <= 10^7)
+PAIR_COST_WORDS = 8
 
 
 @dataclass(frozen=True)
@@ -41,11 +50,17 @@ class Violation:
         }
 
 
-def _bits_from(members) -> int:
-    acc = 0
-    for m in members:
-        acc |= 1 << m
-    return acc
+def _bits_from(members: Collection[int]) -> int:
+    """The int with bit m set for every m in members (all >= 0), packed from
+    a bool mask of max(members) + 1 entries."""
+    if not members:
+        return 0
+    top = max(members)
+    if top >= BITSET_LIMIT:
+        raise ResourceLimit(f"bitset capped at {BITSET_LIMIT} bits (largest member {top})")
+    mask = np.zeros(top + 1, dtype=bool)
+    mask[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _lsb_index(m: int) -> int:
@@ -134,19 +149,58 @@ def decompose_difference(
     return rec(0, diff)
 
 
-def verify(inst: DiffFreeInstance) -> Optional[Violation]:
-    """None when no difference of A lies in the forbidden sumset; otherwise a
-    witness with its generator decomposition.  Bitset shift-AND over the
-    forbidden values."""
-    A = inst.bits
-    for f in inst.forbidden:
+def _shift_and_hit(A: int, F: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(f, a') for the smallest f in F with a' and a' + f both in the bitset
+    A, taking the lowest such a'; None when there is none."""
+    for f in F:
         hit = A & (A >> f)
         if hit:
-            a_prime = _lsb_index(hit)
-            decomp = decompose_difference(f, inst.generators, inst.N - 1)
-            assert decomp is not None
-            return Violation(a=a_prime + f, a_prime=a_prime, decomposition=decomp)
+            return f, _lsb_index(hit)
     return None
+
+
+def _pairwise_hit(members: Sequence[int], F: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The same (f, a') as _shift_and_hit, from the differences of the sorted
+    members looked up in the sorted F, one row a' at a time."""
+    A = np.asarray(members, dtype=np.int64)
+    Fa = np.asarray(F, dtype=np.int64)
+    if not len(Fa):
+        return None
+    best: Optional[tuple[int, int]] = None
+    reach = int(Fa[-1])  # after a hit, only differences below its f can win
+    for i in range(len(A) - 1):
+        a = int(A[i])
+        stop = np.searchsorted(A, a + reach, "right")
+        diffs = A[i + 1 : stop] - a
+        pos = np.searchsorted(Fa, diffs)
+        found = diffs[Fa[pos] == diffs]  # diffs <= reach <= max F keeps pos in range
+        if len(found):
+            best = int(found[0]), a
+            reach = best[0] - 1
+    return best
+
+
+def verify(inst: DiffFreeInstance) -> Optional[Violation]:
+    """None when no difference of A lies in the forbidden sumset F; otherwise
+    the witness with the smallest difference f, the lowest a' for that f, and
+    f's generator decomposition.
+
+    Both checks are exact and return the same witness; the cheaper one runs.
+    Pairwise lookup of the |A|(|A|-1)/2 differences in F, each costed at
+    PAIR_COST_WORDS words, wins on sparse sets and large F; one bitset
+    shift-AND per f in F, |F|*ceil(N/64) words, wins otherwise."""
+    F = inst.forbidden
+    n = len(inst.members)
+    if PAIR_COST_WORDS * n * (n - 1) // 2 < len(F) * -(-inst.N // 64):
+        hit = _pairwise_hit(sorted(inst.members), F)
+    else:
+        hit = _shift_and_hit(inst.bits, F)
+    if hit is None:
+        return None
+    f, a_prime = hit
+    decomp = decompose_difference(f, inst.generators, inst.N - 1)
+    assert decomp is not None
+    return Violation(a=a_prime + f, a_prime=a_prime, decomposition=decomp)
 
 
 def brute_force_verify(inst: DiffFreeInstance) -> bool:
@@ -161,16 +215,19 @@ def brute_force_verify(inst: DiffFreeInstance) -> bool:
 
 
 def greedy(N: int, generators: Sequence[IntPolynomial]) -> DiffFreeInstance:
-    """Admit n = 1..N whenever no previously admitted a has n - a forbidden."""
+    """Admit n = 1..N whenever no previously admitted a has n - a forbidden.
+
+    Runs over GREEDY_CHUNK-wide windows and visits only the positions still
+    unblocked when its window opens; each is re-checked before admission,
+    since an earlier admission in the same window may block it."""
     F = np.array(forbidden_sumset(generators, N), dtype=np.int64)
     blocked = np.zeros(N + 1, dtype=bool)
     admitted = []
-    for n in range(1, N + 1):
-        if not blocked[n]:
-            admitted.append(n)
-            if len(F):
-                idx = n + F
-                blocked[idx[idx <= N]] = True
+    for start in range(1, N + 1, GREEDY_CHUNK):
+        for n in (start + np.flatnonzero(~blocked[start : start + GREEDY_CHUNK])).tolist():
+            if not blocked[n]:
+                admitted.append(n)
+                blocked[n + F[: np.searchsorted(F, N - n, "right")]] = True
     return DiffFreeInstance(N, generators, admitted)
 
 
@@ -180,7 +237,7 @@ def trivial_multiples(N: int, k: int) -> DiffFreeInstance:
     difference is a multiple of p smaller than p^k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if N < 2**k:
+    if N < 1 or N.bit_length() <= k:  # N < 2^k without building 2^k
         raise ValueError("need N >= 2^k")
     hi = integer_nth_root(N, k)
     lo = -(-hi // 2)  # ceil(N^(1/k) / 2) within integer truncation
@@ -321,9 +378,12 @@ def modular_search(
         raise ValueError(f"k must be >= 1, got {k}")
     if mode == "exhaustive" and q > 32:
         raise ValueError("exhaustive mode requires q <= 32")
+    if q > SEARCH_Q_LIMIT:
+        # 3000 greedy restarts of O(q) each, and q adjacency bitsets of q bits
+        raise ResourceLimit(f"modular search capped at q <= {SEARCH_Q_LIMIT} (got q = {q})")
     inst = ModularInstance.build(q, k)
     D_sym = inst.D_sym
-    adj = [_bits_from((v + d) % q for d in D_sym) for v in range(q)]
+    adj = [_bits_from([(v + d) % q for d in D_sym]) for v in range(q)]
 
     best: list[int] = []
     if mode != "exhaustive":

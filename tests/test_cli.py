@@ -103,6 +103,24 @@ class TestExitCodes:
         assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
         assert "capped at 100000000 pair sums" in captured.err
 
+    def test_search_q_guard_exits_three(self, capsys):
+        code = main(["sets", "search", "--q", "5000", "--k", "2", "--budget", "10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
+        assert "capped at q <= 1000" in captured.err
+
+    def test_bitset_guard_exits_three(self, capsys, tmp_path, monkeypatch):
+        # 40 members are dense enough at N = 1000 for the shift-AND kernel
+        monkeypatch.setattr("ilab.diffsets.BITSET_LIMIT", 512)
+        f = tmp_path / "s.txt"
+        f.write_text("".join(f"{n}\n" for n in range(1, 1000, 25)))
+        code = main(["sets", "verify", "--gens", "x^2", "--set", str(f), "--N", "1000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
+        assert "bitset capped at 512 bits (largest member 976)" in captured.err
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")
@@ -125,6 +143,7 @@ class TestExitCodes:
              "q must be >= 2, got 1"),
             (("sets", "trivial", "--N", "10", "--k", "-1"), "k must be >= 1, got -1"),
             (("sets", "trivial", "--N", "10", "--k", "0"), "k must be >= 1, got 0"),
+            (("sets", "trivial", "--N", "3", "--k", "1000000000000"), "need N >= 2^k"),
             (("circle", "dft", "--set", "{empty}"), "N must be >= 1, got 0"),
             (("circle", "dft", "--set", "{ten}", "--N", "0"), "N must be >= 1, got 0"),
             (("intersect", "check", "--poly", "x^2", "--depth", "0"), "depth must be >= 1, got 0"),
@@ -132,7 +151,7 @@ class TestExitCodes:
              "q must not exceed N"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
-             "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0",
+             "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0", "trivial-huge-k",
              "dft-empty-header", "dft-N0", "intersect-depth0", "increment-q-past-L"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):

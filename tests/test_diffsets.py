@@ -5,14 +5,22 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from ilab import diffsets
 from ilab.diffsets import (
+    _bits_from,
     _greedy_clique_cover_bound,
     _max_independent,
+    _pairwise_hit,
+    _shift_and_hit,
+    BITSET_LIMIT,
+    SEARCH_Q_LIMIT,
     DiffFreeInstance,
     ModularInstance,
     brute_force_verify,
+    decompose_difference,
     density_table,
     exhaustive_max,
     forbidden_sumset,
@@ -24,10 +32,69 @@ from ilab.diffsets import (
     verify,
     verify_modular,
 )
+from ilab.padic import ResourceLimit
 from ilab.poly import parse_poly
 
 X2 = parse_poly("x^2")
 X3 = parse_poly("x^3")
+X2X = parse_poly("x^2+x")
+
+
+# -- the slow paths the packed, pairwise and chunked code replaced, as oracles --
+
+
+def fold_bits(members) -> int:
+    """The per-member bitset fold, O(|A| N / 64)."""
+    acc = 0
+    for m in members:
+        acc |= 1 << m
+    return acc
+
+
+def shift_and_witness(inst):
+    """(a, a', decomposition) from one shift-AND per forbidden value in
+    increasing order, lowest a' first; None when difference-free."""
+    A = fold_bits(inst.members)
+    for f in inst.forbidden:
+        hit = A & (A >> f)
+        if hit:
+            a_prime = (hit & -hit).bit_length() - 1
+            return a_prime + f, a_prime, decompose_difference(f, inst.generators, inst.N - 1)
+    return None
+
+
+def greedy_loop(N, generators) -> list[int]:
+    """The one-position-at-a-time greedy scan over [1, N]."""
+    F = np.array(forbidden_sumset(generators, N), dtype=np.int64)
+    blocked = np.zeros(N + 1, dtype=bool)
+    admitted = []
+    for n in range(1, N + 1):
+        if not blocked[n]:
+            admitted.append(n)
+            if len(F):
+                idx = n + F
+                blocked[idx[idx <= N]] = True
+    return admitted
+
+
+def random_instances(seed, count):
+    """Random sets (mostly with violations), subsets of greedy sets
+    (difference-free) and greedy sets with one stray member, over one to three
+    generators."""
+    rng = random.Random(seed)
+    pool = [X2, X3, X2X]
+    for i in range(count):
+        N = rng.randint(2, 600)
+        gens = [rng.choice(pool) for _ in range(rng.choice((1, 1, 2, 3)))]
+        kind = i % 3
+        if kind == 0:
+            members = [n for n in range(1, N + 1) if rng.random() < rng.choice((0.02, 0.1, 0.4))]
+        else:
+            free = sorted(greedy(N, gens).members)
+            members = rng.sample(free, rng.randint(0, len(free)))
+            if kind == 2:
+                members.append(rng.randint(1, N))
+        yield DiffFreeInstance(N, gens, members)
 
 
 class TestForbiddenSumset:
@@ -70,7 +137,92 @@ class TestVerify:
             assert (verify(inst) is None) == brute_force_verify(inst)
 
 
+class TestPackedBits:
+    def test_matches_fold(self):
+        rng = random.Random(702)
+        for _ in range(200):
+            N = rng.randint(1, 3000)
+            members = {n for n in range(1, N + 1) if rng.random() < rng.choice((0.001, 0.05, 0.5))}
+            if rng.random() < 0.3:
+                members.add(N)
+            inst = DiffFreeInstance(N, [X2], members)
+            assert inst.bits == fold_bits(members)
+        assert DiffFreeInstance(5, [X2], []).bits == 0
+        assert DiffFreeInstance(1, [X2], [1]).bits == 2
+        # byte boundaries of the packed mask
+        for top in (7, 8, 9, 63, 64, 65):
+            assert _bits_from([top]) == 1 << top
+            assert _bits_from(range(top + 1)) == (1 << (top + 1)) - 1
+
+    def test_guard_refuses_before_allocating(self):
+        inst = DiffFreeInstance(BITSET_LIMIT, [X2], [1, BITSET_LIMIT])
+        with pytest.raises(ResourceLimit, match=f"bitset capped at {BITSET_LIMIT} bits"):
+            inst.bits
+
+
+class TestVerifyDispatch:
+    def test_both_kernels_match_shift_and(self):
+        checked = hits = 0
+        for inst in random_instances(703, 600):
+            ref = shift_and_witness(inst)
+            want = None if ref is None else (ref[0] - ref[1], ref[1])
+            F = inst.forbidden
+            assert _shift_and_hit(inst.bits, F) == want
+            assert _pairwise_hit(sorted(inst.members), F) == want
+            assert (ref is None) == brute_force_verify(inst)
+            checked += 1
+            hits += ref is not None
+        assert checked == 600 and 100 < hits < 500
+
+    @pytest.mark.parametrize("pair_cost", [0, 10**30], ids=["pairwise", "shift-and"])
+    def test_each_branch_forced(self, monkeypatch, pair_cost):
+        monkeypatch.setattr(diffsets, "PAIR_COST_WORDS", pair_cost)
+        for inst in random_instances(704, 300):
+            ref = shift_and_witness(inst)
+            v = verify(inst)
+            if ref is None:
+                assert v is None and brute_force_verify(inst)
+            else:
+                assert (v.a, v.a_prime, v.decomposition) == ref
+                assert not brute_force_verify(inst)
+
+    @pytest.mark.parametrize("pair_cost", [0, 10**30], ids=["pairwise", "shift-and"])
+    def test_smallest_f_then_lowest_a_prime(self, monkeypatch, pair_cost):
+        # difference 4 at a' = 2, 6, 10 and difference 1 at a' = 20 only: the
+        # smaller f wins over the earlier a'; without it, the lowest a' wins
+        monkeypatch.setattr(diffsets, "PAIR_COST_WORDS", pair_cost)
+        v = verify(DiffFreeInstance(30, [X2], {2, 6, 10, 14, 20, 21}))
+        assert (v.a, v.a_prime, v.decomposition) == (21, 20, (1,))
+        v = verify(DiffFreeInstance(30, [X2], {2, 6, 10, 14, 20, 22}))
+        assert (v.a, v.a_prime, v.decomposition) == (6, 2, (4,))
+
+    def test_sparse_sets_skip_the_bitset(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("shift-AND kernel ran")
+
+        monkeypatch.setattr(diffsets, "_shift_and_hit", refuse)
+        # one member against |F| = N - 1: no pair to check
+        assert len(trivial_multiples(10**5, 1)) == 1
+        assert verify(greedy(20000, [X2, X2])) is None
+
+
 class TestGreedy:
+    @pytest.mark.parametrize(
+        "gens, N",
+        [("x^2", 40000), ("x^3", 50000), ("x^2+x", 40000), ("x^2;x^2", 20000), ("0,1", 20000)],
+    )
+    def test_matches_old_loop(self, gens, N):
+        generators = [parse_poly(g) for g in gens.split(";")]
+        assert sorted(greedy(N, generators).members) == greedy_loop(N, generators)
+
+    def test_matches_old_loop_across_small_windows(self, monkeypatch):
+        monkeypatch.setattr(diffsets, "GREEDY_CHUNK", 7)
+        rng = random.Random(705)
+        for _ in range(60):
+            N = rng.randint(1, 300)
+            gens = [rng.choice([X2, X3, X2X, parse_poly("0,1")]) for _ in range(rng.randint(1, 2))]
+            assert sorted(greedy(N, gens).members) == greedy_loop(N, gens)
+
     def test_frozen_prefix(self):
         got = sorted(greedy(25, [X2]).members)
         assert got == [1, 3, 6, 8, 11, 13, 16, 18, 21, 23]
@@ -105,6 +257,12 @@ class TestTrivialMultiples:
         inst = trivial_multiples(8, 3)
         assert sorted(inst.members) == [2, 4, 6, 8]
         assert verify(inst) is None
+
+    def test_huge_k_refused_without_building_two_to_the_k(self):
+        for N, k in ((3, 10**12), (7, 3), (1, 1), (0, 2), (-5, 1)):
+            with pytest.raises(ValueError, match=r"need N >= 2\^k"):
+                trivial_multiples(N, k)
+        assert len(trivial_multiples(2, 1)) == 1
 
     def test_million(self):
         inst = trivial_multiples(10**6, 2)
@@ -299,6 +457,13 @@ class TestModularSearch:
         res = modular_search(205, 2, budget=10**9, seed=0, target=12)
         assert res.size >= 12
         assert verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
+
+    def test_q_guard(self):
+        for q in (SEARCH_Q_LIMIT + 1, 5000, 10**6):
+            with pytest.raises(ResourceLimit, match=f"capped at q <= {SEARCH_Q_LIMIT}"):
+                modular_search(q, 2, budget=10)
+        res = modular_search(SEARCH_Q_LIMIT, 2, target=1)
+        assert res.size >= 1
 
     def test_symmetry_recorded(self):
         inst = ModularInstance.build(205, 2)
