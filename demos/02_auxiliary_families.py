@@ -6,7 +6,7 @@ Theorem and the scale lambda(d) absorbs their multiplicities, so every h_d
 has integer coefficients and inherits difference-avoidance at scale d.
 """
 
-from ilab.auxiliary import AuxiliaryFamily, content_bound_audit, image_elements, inheritance_check
+from ilab.auxiliary import AuxiliaryFamily, content_bound_audit, image_elements
 from ilab.poly import parse_poly
 
 h = parse_poly("(x^3-19)(x^2+x+1)")
@@ -36,17 +36,17 @@ print(f"  worst ratio against the bound: {rep.max_ratio:.3e}  (a violation would
 
 print()
 print("Inheritance: if A avoids I(h_d) differences, the sub-progression pull-")
-print("back A' = {a : x + lambda(q) a in A} avoids I(h_{qd}).  Checking the")
-print("contrapositive on a planted instance:")
-q, d = 2, 3
-lam_q = fam.lam(q)
-hqd = fam.aux_poly(q * d)
-n = next(n for n in range(1, 10) if hqd(n) > 0)
-x = 11
-A = {x + lam_q * 1, x + lam_q * (1 + hqd(n))}
-held = inheritance_check(A, x, q, fam, d, bound=hqd(n) + 1)
-print(f"  planted difference h_{q*d}({n}) = {hqd(n)} in A'; implication held: {held}")
-print(f"  (the proof's identity: lambda({q}) * h_{q*d}({n}) appears in I(h_{d}))")
+print("back A' = {a : x + lambda(q) a in A} avoids I(h_{qd}), by the identity")
+print("h_d(s + q n) = lambda(q) * h_{qd}(n) with s = (r_{qd} - r_d) / d:")
+print(f"{'q':>4} {'d':>4} {'s':>6} {'n':>4}  h_d(s + q n) == lambda(q) * h_qd(n)")
+for q, d in ((2, 3), (3, 2), (5, 4)):
+    s = (fam.r_of(q * d) - fam.r_of(d)) // d
+    for n in (1, 7):
+        lhs = fam.aux_poly(d)(s + q * n)
+        rhs = fam.lam(q) * fam.aux_poly(q * d)(n)
+        print(f"{q:>4} {d:>4} {s:>6} {n:>4}  {lhs} == {rhs}: {lhs == rhs}")
+print("So a difference h_{qd}(n) inside A' is the difference lambda(q) * h_{qd}(n)")
+print("inside A, an element of I(h_d).")
 
 print()
 print("Image sets I(h_d) truncated to [1, 2000]:")

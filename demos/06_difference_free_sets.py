@@ -10,11 +10,10 @@ c ~ 0.7334 for squares.
 
 from ilab.diffsets import (
     DiffFreeInstance,
-    ModularInstance,
     density_table,
-    exhaustive_max,
     greedy,
     modular_search,
+    power_residues,
     ruzsa_exponent,
     ruzsa_lift,
     trivial_multiples,
@@ -26,12 +25,12 @@ from ilab.poly import parse_poly
 x2 = parse_poly("x^2")
 
 print("=" * 72)
-print("  EXACT OPTIMA AT TOY SCALE (branch and bound, provably optimal)")
+print("  EXACT MODULAR OPTIMA (branch and bound to completion, q <= 32)")
 print("=" * 72)
-print(f"{'N':>4} {'max |A|':>8}  witness")
-for N in (3, 10, 20, 30, 40):
-    size, witness = exhaustive_max(N, [x2])
-    print(f"{N:>4} {size:>8}  {witness}")
+print(f"{'q':>4} {'max |B|':>8} {'optimal':>8}  witness (no difference a square mod q)")
+for q in (5, 13, 17, 25, 29, 32):
+    res = modular_search(q, 2, mode="exhaustive")
+    print(f"{q:>4} {res.size:>8} {str(res.optimal):>8}  {list(res.best)}")
 
 print()
 print("=" * 72)
@@ -49,7 +48,7 @@ print("  MODULAR SEARCH AT q = 205 (squares mod 205)")
 print("=" * 72)
 res = modular_search(205, 2, budget=10**9, seed=0, target=12)
 print(f"  best |B| = {res.size} (target 12), set = {list(res.best)}")
-verified = verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
+verified = verify_modular(res.best, 205, power_residues(205, 2))
 print(f"  re-verified: {verified}; nodes explored: {res.nodes}")
 c = ruzsa_exponent(205, res.size, 2)
 print(f"  lift exponent c = (k-1 + log|B|/log q)/k = {c:.4f}")

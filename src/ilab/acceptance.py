@@ -24,9 +24,9 @@ from .circle import (
 )
 from .diffsets import (
     DiffFreeInstance,
-    ModularInstance,
     brute_force_verify,
     modular_search,
+    power_residues,
     ruzsa_exponent,
     trivial_multiples,
     verify,
@@ -365,7 +365,7 @@ def check_12_modular(quick: bool = False) -> dict:
         and r5.optimal
         and abs(c - 0.7334) <= 1e-4
         and r205.size >= 10
-        and verify_modular(r205.best, 205, ModularInstance.build(205, 2).D)
+        and verify_modular(r205.best, 205, power_residues(205, 2))
     )
     return {
         "criterion": 12,

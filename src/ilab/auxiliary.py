@@ -25,12 +25,7 @@ from .poly import (
 class AuxiliaryFamily:
     """Memoizing container for (r_d, lambda(d), h_d) over a fixed base."""
 
-    def __init__(
-        self,
-        base: IntPolynomial,
-        depth: int = 8,
-        certs: dict[int, RootCert] | None = None,
-    ):
+    def __init__(self, base: IntPolynomial, depth: int = 8):
         if base.is_zero or base.degree < 1:
             raise ValueError("base must be a nonconstant polynomial")
         if base.leading <= 0:
@@ -38,7 +33,7 @@ class AuxiliaryFamily:
         self.base = base
         self.depth = depth
         self._factors = square_free_decomposition(base)
-        self._certs: dict[int, RootCert] = dict(certs) if certs else {}
+        self._certs: dict[int, RootCert] = {}
         self._r: dict[int, int] = {1: 0}
         self._lambda: dict[int, int] = {1: 1}
         self._aux: dict[int, IntPolynomial] = {}
@@ -164,36 +159,3 @@ def image_elements(p: IntPolynomial, bound: int) -> list[int]:
         if 0 < v <= bound:
             out.add(v)
     return sorted(out)
-
-
-def inheritance_check(
-    A: set[int],
-    x: int,
-    q: int,
-    fam: AuxiliaryFamily,
-    d: int,
-    bound: int,
-) -> bool:
-    """Concrete truncated check of the inheritance implication.
-
-    Builds A' = {a >= 1 : x + lambda(q) a in A}.  If A' has a difference in
-    I(h_{qd}) cap [1, bound], then A must have a difference in
-    I(h_d) cap [1, lambda(q) * bound].  Returns whether the implication held
-    (it must always be true).
-    """
-    if not A:
-        return True
-    lam_q = fam.lam(q)
-    A_prime = sorted(
-        a
-        for a in range(1, max((max(A) - x) // lam_q + 2, 1))
-        if x + lam_q * a in A
-    )
-    diffs_prime = {b - a for a in A_prime for b in A_prime if b > a}
-    img_qd = set(image_elements(fam.aux_poly(q * d), bound))
-    if not (diffs_prime & img_qd):
-        return True  # vacuous
-    sa = sorted(A)
-    diffs = {b - a for a in sa for b in sa if b > a}
-    img_d = set(image_elements(fam.aux_poly(d), lam_q * bound))
-    return bool(diffs & img_d)

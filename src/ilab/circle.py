@@ -17,6 +17,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from .padic import ResourceLimit
+
 DFT_LIMIT = 2**24
 
 
@@ -43,7 +45,7 @@ def dft_indicator(A: Iterable[int], N: int) -> FourierData:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N > DFT_LIMIT:
-        raise MemoryError(f"DFT length capped at N <= {DFT_LIMIT}, got {N}")
+        raise ResourceLimit(f"DFT length capped at N <= {DFT_LIMIT}, got {N}")
     try:
         idx = np.fromiter(A, dtype=np.int64)
     except OverflowError:

@@ -8,11 +8,11 @@ text; main() adds "command", serializes stable JSON (sorted keys, fixed
 indentation, no NaN/Infinity) and writes it.  Data outcomes (a violation
 found, a not-intersective verdict, a rejected construction, no increment,
 a failed acceptance check) exit 1, usage and I/O errors exit 2, resource
-guards exit 3.  All randomness flows from the single configured seed, and
-computation is sequential with fixed-block accumulation, so output bytes
-depend only on the seed and the inputs.  Global options are --seed,
---output and --config (a key=value file); ILAB_SEED overrides the file and
-the command line overrides both.
+guards exit 3, and any other exception exits 4 with one
+"internal error:" line on stderr, never a traceback.  All randomness flows
+from --seed (default 0), and computation is sequential with fixed-block
+accumulation, so output bytes depend only on the seed and the inputs.
+--output names the output path ("-", the default, is stdout).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -60,32 +59,7 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _load_config_file(path: str) -> dict:
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = val
-    return out
-
-
-def _resolve_config(args: argparse.Namespace) -> None:
-    """Set args.seed and args.output from --config, then ILAB_SEED, then the
-    command line."""
-    values = _load_config_file(args.config) if args.config else {}
-    if "ILAB_SEED" in os.environ:
-        values["seed"] = os.environ["ILAB_SEED"]
-    for key in ("seed", "output"):
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-    args.seed = int(values.get("seed", 0))
-    args.output = str(values.get("output", "-"))
+EXIT_INTERNAL = 4
 
 
 def _csv(rows: list[dict], fields: list[str]) -> str:
@@ -442,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="intersective-polynomial laboratory: sieves, exponential sums, "
         "circle-method arcs, and difference-free set search",
     )
-    ap.add_argument("--seed", type=int, default=None, help="seed for randomized audits/searches")
-    ap.add_argument("--config", default=None, help="key=value config file")
-    ap.add_argument("--output", default=None, help="output path, '-' for stdout")
+    ap.add_argument("--seed", type=int, default=0, help="seed for randomized audits/searches")
+    ap.add_argument("--output", default="-", help="output path, '-' for stdout")
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}
     for row in COMMANDS:
@@ -466,7 +439,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     group, command, handler, fails, _ = args.row
     try:
-        _resolve_config(args)
         out = handler(args)
         if isinstance(out, dict):
             out = {"command": group if command is None else f"{group}.{command}", **out}
@@ -477,13 +449,16 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         else:
             Path(args.output).write_text(text)
+        return EXIT_DATA if fails is not None and fails(out) else EXIT_OK
     except (ResourceLimit, MemoryError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_DATA if fails is not None and fails(out) else EXIT_OK
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

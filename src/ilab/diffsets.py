@@ -8,8 +8,9 @@ forbidden set F, or one shift-AND of A's bitset per forbidden value,
 |F|*ceil(N/64) machine words.  The bitset is packed from a bool mask, so it
 costs O(N) bytes to build.  Constructions (greedy scan, multiples of a
 prime, base-q digit lifts of modular sets) are always re-verified.  Modular
-instances search maximum independent sets in the Cayley graph of Z/q with
-connection set the k-th power residues (symmetrized).
+search looks for a maximum independent set in the Cayley graph of Z/q whose
+connection set is the nonzero k-th power residues, symmetrized; its
+exhaustive mode (q <= 32) proves the optimum.
 """
 
 from __future__ import annotations
@@ -117,15 +118,6 @@ class DiffFreeInstance:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "generators": [list(g.coeffs) for g in self.generators],
-            "size": len(self.members),
-            "density": self.density,
-            "members": sorted(self.members),
-        }
 
 
 def decompose_difference(
@@ -252,23 +244,9 @@ def trivial_multiples(N: int, k: int) -> DiffFreeInstance:
 # -- modular search ------------------------------------------------------------
 
 
-@dataclass
-class ModularInstance:
-    """Forbidden differences D = nonzero k-th power residues mod q."""
-
-    q: int
-    k: int
-    D: frozenset[int]
-    D_symmetric: bool
-
-    @classmethod
-    def build(cls, q: int, k: int) -> "ModularInstance":
-        D = frozenset(pow(x, k, q) for x in range(q)) - {0}
-        return cls(q=q, k=k, D=D, D_symmetric=frozenset((q - d) % q for d in D) == D)
-
-    @property
-    def D_sym(self) -> frozenset[int]:
-        return self.D | frozenset((self.q - d) % self.q for d in self.D)
+def power_residues(q: int, k: int) -> frozenset[int]:
+    """The nonzero k-th power residues mod q."""
+    return frozenset(pow(x, k, q) for x in range(q)) - {0}
 
 
 def verify_modular(B, q: int, D) -> bool:
@@ -381,8 +359,8 @@ def modular_search(
     if q > SEARCH_Q_LIMIT:
         # 3000 greedy restarts of O(q) each, and q adjacency bitsets of q bits
         raise ResourceLimit(f"modular search capped at q <= {SEARCH_Q_LIMIT} (got q = {q})")
-    inst = ModularInstance.build(q, k)
-    D_sym = inst.D_sym
+    D = power_residues(q, k)
+    D_sym = D | {q - d for d in D}
     adj = [_bits_from([(v + d) % q for d in D_sym]) for v in range(q)]
 
     best: list[int] = []
@@ -408,7 +386,7 @@ def modular_search(
         adj, full, _bits_from(best), budget, target
     )
     members = tuple(sorted(v for v in range(q) if best_bits & (1 << v)))
-    assert verify_modular(members, q, inst.D), "search produced an invalid set"
+    assert verify_modular(members, q, D), "search produced an invalid set"
     return SearchResult(
         best=members,
         size=len(members),
@@ -463,8 +441,7 @@ def ruzsa_lift(
     for p, e in factorize(q):
         if e > 1:
             raise ValueError("q must be squarefree")
-    inst_mod = ModularInstance.build(q, k)
-    if not verify_modular(B, q, inst_mod.D):
+    if not verify_modular(B, q, power_residues(q, k)):
         raise ValueError("B is not k-th-power-difference-free mod q")
 
     n_digits = 1
@@ -495,27 +472,6 @@ def ruzsa_lift(
     if bad is not None:
         return ConstructionRejected(violation=bad, q=q, k=k, N=N)
     return inst
-
-
-def exhaustive_max(
-    N: int, generators: Sequence[IntPolynomial]
-) -> tuple[int, tuple[int, ...]]:
-    """Provably optimal maximum difference-free subset of [1, N] (N <= 40)."""
-    if N > 40:
-        raise ValueError("exact search restricted to N <= 40 (use greedy beyond)")
-    F = forbidden_sumset(generators, N)
-    adj = [0] * (N + 1)
-    for v in range(1, N + 1):
-        for f in F:
-            if v + f <= N:
-                adj[v] |= 1 << (v + f)
-            if v - f >= 1:
-                adj[v] |= 1 << (v - f)
-
-    full = ((1 << (N + 1)) - 1) & ~1  # vertices 1..N
-    best_bits, _, _ = _max_independent(adj, full)
-    witness = tuple(v for v in range(1, N + 1) if best_bits & (1 << v))
-    return len(witness), witness
 
 
 def density_table(

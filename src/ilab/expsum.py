@@ -33,6 +33,7 @@ WEYL_LIMIT = 10**8
 MOMENT_LIMIT = 2 * 10**6
 WEYL_CHUNK = 2**18
 DEFAULT_BLOCK = 4096
+AUDIT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -150,15 +151,15 @@ def sqrt_cancel_audit(
     g: IntPolynomial,
     q_max: int,
     Y: float,
-    n_samples: int = 10,
     seed: int = 0,
 ) -> tuple[list[dict], dict]:
     """Square-root cancellation audit for the W^q-restricted complete sums.
 
-    For each q <= q_max and a sample of a coprime to q, records
-    |S_restricted| / sqrt(q).  Returns (rows, summary); the summary fits the
-    smallest C with max-ratio <= gcd(cont(g), q)^3 * C^omega(q) over
-    composite-aware q; the true constant is ineffective, so nothing is asserted.
+    For each q <= q_max and a seeded sample of at most AUDIT_SAMPLES units a
+    mod q, records |S_restricted| / sqrt(q).  Returns (rows, summary); the
+    summary fits the smallest C with max-ratio <= gcd(cont(g), q)^3 *
+    C^omega(q) over composite-aware q; the true constant is ineffective, so
+    nothing is asserted.
     """
     if g.degree < 2:
         raise ValueError("audit requires degree >= 2")
@@ -169,7 +170,7 @@ def sqrt_cancel_audit(
     fitted_c = 0.0
     for q in range(1, q_max + 1):
         units = [a for a in range(q) if math.gcd(a, q) == 1]  # [0] at q = 1
-        sample = units if len(units) <= n_samples else rng.sample(units, n_samples)
+        sample = units if len(units) <= AUDIT_SAMPLES else rng.sample(units, AUDIT_SAMPLES)
         best = 0.0
         for a in sorted(sample):
             pt = RationalPoint(a, q)

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import divisors, factorize, primes_up_to, v_p, v_p_fraction
+from .arith import crt_pair, divisors, factorize, primes_up_to, v_p, v_p_fraction
 from .poly import IntPolynomial, exact_div, square_free_decomposition
 
 ROOTS_BRUTE_LIMIT = 10**6
@@ -123,13 +123,7 @@ def roots_mod(p: IntPolynomial, q: int) -> list[int]:
     residues = [(0, 1)]
     for prime, e in factorize(q):
         pr = _prime_power_roots(p, prime, e)
-        pe = prime**e
-        new = []
-        for r, m in residues:
-            inv = pow(m, -1, pe)
-            for s in pr:
-                new.append((r + (s - r) * inv % pe * m, m * pe))
-        residues = new
+        residues = [crt_pair(r, m, s, prime**e) for r, m in residues for s in pr]
         if not residues:
             return []
     return sorted(r for r, _ in residues)
@@ -314,24 +308,6 @@ def _rational_cert(f: IntPolynomial, u: int, p: int, depth: int, r: Fraction) ->
     of multiplicity u."""
     v = v_p_fraction(f.derivative()(r), p)
     return RootCert(p=p, j=depth, z=_residue(r, p**depth), m=u, v=v, factor=f, exact_root=r)
-
-
-def exact_cert(
-    h: IntPolynomial, p: int, root: int | Fraction, depth: int = 8
-) -> RootCert:
-    """Certificate from an explicitly chosen rational root of h.
-
-    The root's denominator must be coprime to p; multiplicity is read off
-    the square-free decomposition.  Used to pin a specific z_p when the
-    default deterministic policy would pick another valid root.
-    """
-    r = Fraction(root)
-    if r.denominator % p == 0:
-        raise ValueError("root denominator must be coprime to p")
-    for f, u in square_free_decomposition(h):
-        if f(r) == 0:
-            return _rational_cert(f, u, p, depth, r)
-    raise ValueError(f"{root} is not a root of {h}")
 
 
 def choose_root(

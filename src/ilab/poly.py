@@ -117,9 +117,6 @@ class IntPolynomial:
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs), "degree": self.degree}
 
-    def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

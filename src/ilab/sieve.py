@@ -161,16 +161,3 @@ def brun_compare(profile: SieveProfile, X: int) -> BrunComparison:
         relative_error=rel,
         in_regime=X >= profile.Y**2,
     )
-
-
-def product_lower_check(profile: SieveProfile) -> tuple[float, float]:
-    """(product, (log Y)^(1-k)): the sieve density against its lower-bound shape.
-
-    Only positivity is asserted by callers; the ratio is monitoring data.
-    """
-    if profile.Y < 2:
-        raise ValueError("Y must be at least 2")
-    k = profile.g.degree
-    product = float(profile.density())
-    floor_value = math.log(profile.Y) ** (1 - k)
-    return product, floor_value

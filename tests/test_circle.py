@@ -19,6 +19,7 @@ from ilab.circle import (
     dft_indicator,
     extract_progression,
 )
+from ilab.padic import ResourceLimit
 
 
 def loop_dft_indicator(A, N):
@@ -75,7 +76,7 @@ class TestDft:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_guards(self):
-        with pytest.raises(MemoryError):
+        with pytest.raises(ResourceLimit, match="DFT length capped"):
             dft_indicator([1], 2**25)
         with pytest.raises(ValueError):
             dft_indicator([0], 10)

@@ -1,5 +1,5 @@
 """CLI surface: subcommands, exit codes, JSON schema conformance, set-file
-round trips, and config plumbing."""
+round trips, and seed and output plumbing."""
 
 import csv
 import io
@@ -121,6 +121,36 @@ class TestExitCodes:
         assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
         assert "bitset capped at 512 bits (largest member 976)" in captured.err
 
+    def test_dft_guard_exits_three(self, capsys, tmp_path):
+        f = tmp_path / "s.txt"
+        f.write_text("1\n2\n")
+        code = main(["circle", "dft", "--set", str(f), "--N", str(2**25)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"resource guard: DFT length capped at N <= {2**24}, got {2**25}\n"
+
+    def test_internal_error_exits_four_with_one_line(self, capsys, monkeypatch):
+        # a search whose re-verification fails trips modular_search's assertion
+        monkeypatch.setattr("ilab.diffsets.verify_modular", lambda *_: False)
+        code = main(["sets", "search", "--q", "5", "--k", "2", "--mode", "exhaustive"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "internal error: AssertionError: search produced an invalid set\n"
+
+    def test_internal_error_process_exits_four_without_traceback(self):
+        script = (
+            "import runpy, ilab.diffsets as d; d.verify_modular = lambda *_: False; "
+            "runpy.run_module('ilab', run_name='__main__')"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "sets", "search", "--q", "5", "--k", "2"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == "internal error: AssertionError: search produced an invalid set\n"
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")
@@ -240,13 +270,23 @@ class TestPlumbing:
         payload = json.loads(out_path.read_text())
         assert payload["size"] >= 1
 
-    def test_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "ilab.cfg"
-        out_path = tmp_path / "o.json"
-        cfg.write_text(f"seed=3\noutput={out_path}\n# comment\n")
-        code, _ = run_cli(capsys, "--config", str(cfg), "aux", "build", "--poly", "x^2", "--d", "4")
-        assert code == 0
-        assert json.loads(out_path.read_text())["lambda_d"] == 16
+    def test_seed_defaults_to_zero(self, capsys):
+        # from q = 13 on there are more than 10 units mod q, so the audit
+        # samples them and the seed shows
+        argv = ["expsum", "audit-sqrt", "--poly", "x^3", "--qmax", "30", "--Y", "10"]
+        outs = [run_cli(capsys, *pre, *argv) for pre in ((), ("--seed", "0"), ("--seed", "7"))]
+        assert [code for code, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] != outs[2][1]
+
+    def test_environment_sets_no_option(self):
+        argv = [sys.executable, "-m", "ilab", "sets", "search", "--q", "41", "--k", "2",
+                "--budget", "50"]
+        plain = subprocess.run(argv, capture_output=True, text=True, env=subprocess_env())
+        seeded = subprocess.run(
+            argv, capture_output=True, text=True, env=subprocess_env(ILAB_SEED="7")
+        )
+        assert plain.returncode == seeded.returncode == 0
+        assert plain.stdout == seeded.stdout
 
     def test_csv_commands(self, capsys):
         code, out = run_cli(capsys, "sieve", "count", "--poly", "x^2", "--Y", "5", "--X", "1000")

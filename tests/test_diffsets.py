@@ -18,14 +18,13 @@ from ilab.diffsets import (
     BITSET_LIMIT,
     SEARCH_Q_LIMIT,
     DiffFreeInstance,
-    ModularInstance,
     brute_force_verify,
     decompose_difference,
     density_table,
-    exhaustive_max,
     forbidden_sumset,
     greedy,
     modular_search,
+    power_residues,
     ruzsa_exponent,
     ruzsa_lift,
     trivial_multiples,
@@ -286,7 +285,7 @@ def is_independent(adj, bits):
 
 
 def popcount_branch_and_bound(adj, cand):
-    """The recursive search exhaustive_max used before the shared kernel:
+    """The recursive search used before the shared kernel:
     popcount bound only, lowest vertex first, include first."""
     best = [0, 0]
 
@@ -383,7 +382,7 @@ class TestModularSearch:
     def test_q5_exhaustive(self):
         res = modular_search(5, 2, mode="exhaustive")
         assert res.size == 2 and res.optimal
-        assert verify_modular(res.best, 5, ModularInstance.build(5, 2).D)
+        assert verify_modular(res.best, 5, power_residues(5, 2))
 
     def test_q2(self):
         res = modular_search(2, 2, mode="exhaustive")
@@ -391,13 +390,13 @@ class TestModularSearch:
 
     def test_exhaustive_matches_subset_enumeration(self):
         for q, k in ((7, 2), (11, 2), (13, 3), (10, 2)):
-            inst = ModularInstance.build(q, k)
+            D = power_residues(q, k)
             best = 0
             for r in range(q, 0, -1):
                 if best:
                     break
                 for combo in itertools.combinations(range(q), r):
-                    if verify_modular(combo, q, inst.D):
+                    if verify_modular(combo, q, D):
                         best = r
                         break
             res = modular_search(q, k, mode="exhaustive")
@@ -409,8 +408,8 @@ class TestModularSearch:
         # a naive filter u^k D = D holds for every unit and is too weak
         # (u = 2 mod 13 maps non-residue differences onto residues)
         q, k = 13, 2
-        inst = ModularInstance.build(q, k)
-        dsym = set(inst.D_sym)
+        D = power_residues(q, k)
+        dsym = D | {q - d for d in D}
         base = modular_search(q, k, mode="exhaustive").size
         best = modular_search(q, k, mode="exhaustive").best
         stabilizers = [
@@ -422,14 +421,14 @@ class TestModularSearch:
         for u in stabilizers:
             for v in (0, 3):
                 moved = sorted((u * b + v) % q for b in best)
-                assert verify_modular(moved, q, inst.D)
+                assert verify_modular(moved, q, D)
                 assert len(moved) == base
 
     def test_budget_exhaustion(self):
         res = modular_search(205, 2, budget=500, seed=1)
         assert not res.optimal
         assert res.nodes <= 501
-        assert verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
+        assert verify_modular(res.best, 205, power_residues(205, 2))
 
     @pytest.mark.parametrize(
         "q, budget, expected",
@@ -456,7 +455,7 @@ class TestModularSearch:
     def test_q205_reaches_twelve(self):
         res = modular_search(205, 2, budget=10**9, seed=0, target=12)
         assert res.size >= 12
-        assert verify_modular(res.best, 205, ModularInstance.build(205, 2).D)
+        assert verify_modular(res.best, 205, power_residues(205, 2))
 
     def test_q_guard(self):
         for q in (SEARCH_Q_LIMIT + 1, 5000, 10**6):
@@ -465,46 +464,14 @@ class TestModularSearch:
         res = modular_search(SEARCH_Q_LIMIT, 2, target=1)
         assert res.size >= 1
 
+    def test_power_residues(self):
+        assert power_residues(7, 2) == {1, 2, 4}
+        assert power_residues(9, 3) == {1, 8}
+        assert power_residues(2, 5) == {1}
+
     def test_symmetry_recorded(self):
-        inst = ModularInstance.build(205, 2)
-        assert inst.D_symmetric  # -1 is a square mod 5 and mod 41
-
-
-class TestExhaustiveMax:
-    def test_small_against_brute(self):
-        for N in (3, 8, 12, 15):
-            size, witness = exhaustive_max(N, [X2])
-            forb = set(forbidden_sumset([X2], N))
-            best = 0
-            for mask in range(1 << N):
-                members = [i + 1 for i in range(N) if mask >> i & 1]
-                if len(members) <= best:
-                    continue
-                ok = all(
-                    b - a not in forb
-                    for i, a in enumerate(members)
-                    for b in members[i + 1 :]
-                )
-                if ok:
-                    best = len(members)
-            assert size == best
-            inst = DiffFreeInstance(N, [X2], witness)
-            assert verify(inst) is None
-
-    def test_examples(self):
-        assert exhaustive_max(3, [X2])[0] == 2
-        size10, _ = exhaustive_max(10, [X2])
-        assert size10 == 4
-        size20, w20 = exhaustive_max(20, [X2, X2])
-        assert verify(DiffFreeInstance(20, [X2, X2], w20)) is None
-
-    def test_monotone_in_N(self):
-        sizes = [exhaustive_max(N, [X2])[0] for N in range(2, 26)]
-        assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-
-    def test_refuses_large(self):
-        with pytest.raises(ValueError):
-            exhaustive_max(60, [X2])
+        D = power_residues(205, 2)
+        assert {205 - d for d in D} == D  # -1 is a square mod 5 and mod 41
 
 
 class TestRuzsa:

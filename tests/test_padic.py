@@ -16,7 +16,6 @@ from ilab.padic import (
     ResourceLimit,
     _prime_power_roots,
     choose_root,
-    exact_cert,
     hensel_lift,
     is_intersective,
     rational_roots,
@@ -223,16 +222,6 @@ class TestChooseRoot:
         c = choose_root(QUINTIC, 3)
         z = c.residue_mod(9)
         assert QUINTIC(z) % 3**9 == 0
-
-    def test_exact_cert_override(self):
-        g = parse_poly("(x-1)(x-2)")
-        c = exact_cert(g, 2, 1)
-        assert c.z % 2 == 1 and c.m == 1
-        assert c.verify(g)
-        with pytest.raises(ValueError):
-            exact_cert(g, 2, 5)
-        with pytest.raises(ValueError):
-            exact_cert(parse_poly("2x-1"), 2, Fraction(1, 2))
 
 
 class TestLiftCap:

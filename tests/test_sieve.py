@@ -14,7 +14,6 @@ from ilab.sieve import (
     enumerate_w,
     gamma_j,
     is_identically_zero_mod,
-    product_lower_check,
 )
 
 X2 = parse_poly("x^2")
@@ -187,19 +186,13 @@ class TestBrun:
 
 class TestProductLower:
     def test_y2(self):
-        product, floor_value = product_lower_check(SieveProfile.build(X2, 2))
-        assert product == 0.5
-        assert abs(floor_value - 1 / math.log(2)) < 1e-12
+        assert float(SieveProfile.build(X2, 2).density()) == 0.5
 
     def test_ratio_positive_and_stable(self):
         ratios = []
         for Y in (10, 100, 1000):
-            product, floor_value = product_lower_check(SieveProfile.build(X2, Y))
+            product = float(SieveProfile.build(X2, Y).density())
             assert product > 0
-            ratios.append(product / floor_value)
+            ratios.append(product / math.log(Y) ** (1 - X2.degree))
         # degree-2 sieve density decays like 1/log Y, matching the floor shape
         assert all(r > 0.3 for r in ratios)
-
-    def test_rejects_small_Y(self):
-        with pytest.raises(ValueError):
-            product_lower_check(SieveProfile.build(X2, 1.0))
