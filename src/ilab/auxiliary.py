@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import crt_pair, factorize
-from .padic import RootCert, choose_root
+from .arith import crt_pair, factorize, primes_up_to
+from .padic import RootCert, choose_root, choose_roots
 from .poly import (
     IntPolynomial,
     content,
@@ -30,19 +30,31 @@ class AuxiliaryFamily:
             raise ValueError("base must be a nonconstant polynomial")
         if base.leading <= 0:
             raise ValueError("base must have positive leading coefficient")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
         self.base = base
         self.depth = depth
         self._factors = square_free_decomposition(base)
-        self._certs: dict[int, RootCert] = {}
+        self._certs: dict[int, RootCert | Exception] = {}
         self._r: dict[int, int] = {1: 0}
         self._lambda: dict[int, int] = {1: 1}
         self._aux: dict[int, IntPolynomial] = {}
+
+    def certify(self, primes: list[int]) -> None:
+        """Choose the certificates at every prime of primes not yet held, in
+        one batch.  A prime that fails keeps its error, which cert raises
+        when that prime is asked for."""
+        new = [p for p in primes if p not in self._certs]
+        self._certs.update(choose_roots(self.base, new, self.depth, self._factors))
 
     def cert(self, p: int) -> RootCert:
         """Root certificate at p, choosing one deterministically on demand."""
         if p not in self._certs:
             self._certs[p] = choose_root(self.base, p, self.depth, self._factors)
-        return self._certs[p]
+        out = self._certs[p]
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     def lam(self, d: int) -> int:
         """lambda(d) = prod p^(m_p * e_p): completely multiplicative."""
@@ -115,8 +127,13 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
     disc = discriminant_abs(base)
     ch = content(base)
     rhs_sq = disc ** (k - 1) * ch * ch
-    max_c, argmax, max_ratio = 0, 1, 0.0
+    max_c, argmax, max_ratio, certified = 0, 1, 0.0, 0
     for d in range(1, d_max + 1):
+        if d > certified:
+            # one batch for the primes up to d^2: few batches, and a prime p
+            # that fails raises at d = p, before any prime past p^2 is tried
+            certified = min(d * d, d_max)
+            fam.certify(primes_up_to(certified))
         c = content(fam.aux_poly(d))
         if c * c > rhs_sq:
             raise ArithmeticError(

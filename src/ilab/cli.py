@@ -101,7 +101,7 @@ def cmd_intersect_check(args) -> dict:
 
 def cmd_aux_build(args) -> dict:
     h = parse_poly(args.poly)
-    fam = AuxiliaryFamily(h)
+    fam = AuxiliaryFamily(h, args.depth)
     return {
         "poly": h.to_json(),
         "d": args.d,
@@ -113,7 +113,7 @@ def cmd_aux_build(args) -> dict:
 
 def cmd_aux_audit(args) -> dict:
     h = parse_poly(args.poly)
-    rep = content_bound_audit(AuxiliaryFamily(h), args.dmax)
+    rep = content_bound_audit(AuxiliaryFamily(h, args.depth), args.dmax)
     return {
         "poly": h.to_json(),
         "d_max": rep.d_max,
@@ -356,6 +356,7 @@ def _arg(flag: str, type=str, default=..., **kw) -> tuple[str, dict]:
 
 
 POLY = _arg("--poly")
+DEPTH = _arg("--depth", int, 8, help="largest p-adic certificate precision (default %(default)s)")
 GENS = _arg("--gens", help='generator list, e.g. "x^2;x^3"')
 SET = _arg("--set")
 SAVE = _arg("--save", default=None, help="write the set as DFSET1")
@@ -375,9 +376,9 @@ GROUP_HELP = {
 #  data-outcome rule on the payload (exit 1 when it holds) or None, option specs)
 COMMANDS = [
     ("intersect", "check", cmd_intersect_check, lambda p: p["status"] == "not_intersective",
-     [POLY, _arg("--prime-bound", int, 1000), _arg("--depth", int, 8)]),
-    ("aux", "build", cmd_aux_build, None, [POLY, _arg("--d", int)]),
-    ("aux", "audit", cmd_aux_audit, None, [POLY, _arg("--dmax", int)]),
+     [POLY, _arg("--prime-bound", int, 1000), DEPTH]),
+    ("aux", "build", cmd_aux_build, None, [POLY, _arg("--d", int), DEPTH]),
+    ("aux", "audit", cmd_aux_audit, None, [POLY, _arg("--dmax", int), DEPTH]),
     ("sieve", "table", cmd_sieve_table, None, [POLY, Y]),
     ("sieve", "count", cmd_sieve_count, None, [POLY, Y, _arg("--X", int), _arg("--compare", bool)]),
     ("expsum", "complete", cmd_expsum_complete, None,

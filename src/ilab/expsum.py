@@ -95,6 +95,30 @@ def frac_mul_exact(n: int, alpha: float) -> float:
     return ((n * num) % den) / den
 
 
+def _phase_table(
+    g: IntPolynomial, q: int, sieve: Optional[SieveProfile]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H, roots): H[r] counts the s in [0, q) (in W^q(Y) with a sieve) with
+    g(s) = r mod q, and roots[k] = e(k / q)."""
+    if q > COMPLETE_SUM_LIMIT:
+        raise ResourceLimit(f"complete sums capped at q <= {COMPLETE_SUM_LIMIT}")
+    mask = np.ones(q, dtype=bool) if sieve is None else sieve.mask(q, q)
+    classes = values_mod(g, np.arange(q, dtype=np.int64), q)
+    return np.bincount(classes[mask], minlength=q), np.exp(2j * np.pi * np.arange(q) / q)
+
+
+def _phase_sum(hist: np.ndarray, roots: np.ndarray, pt: RationalPoint) -> ExpSumResult:
+    """sum_s e(g(s) a / q) from the class histogram of g: a is a unit, so
+    the phase class k = g(s) a holds H[a^-1 k mod q] terms."""
+    counts = hist[np.arange(pt.q, dtype=np.int64) * pow(pt.a, -1, pt.q) % pt.q]
+    n_terms = int(hist.sum())
+    return ExpSumResult(
+        value=complex(np.dot(counts, roots)),
+        n_terms=n_terms,
+        est_abs_error=n_terms * 2.0**-46,
+    ).check_trivial_bound()
+
+
 def complete_sum(
     g: IntPolynomial, pt: RationalPoint, sieve: Optional[SieveProfile] = None
 ) -> ExpSumResult:
@@ -103,21 +127,7 @@ def complete_sum(
     A sieve profile restricts s to W^q(Y): only the primes with p^gamma | q
     are active.  Phases are exact integer classes mod q.
     """
-    q, a = pt.q, pt.a
-    if q > COMPLETE_SUM_LIMIT:
-        raise ResourceLimit(f"complete sums capped at q <= {COMPLETE_SUM_LIMIT}")
-    mask = np.ones(q, dtype=bool) if sieve is None else sieve.mask(q, q)
-    classes = values_mod(g, np.arange(q, dtype=np.int64), q)
-    phase_idx = (classes[mask] * (a % q)) % q
-    counts = np.bincount(phase_idx, minlength=q)
-    roots_of_unity = np.exp(2j * np.pi * np.arange(q) / q)
-    value = complex(np.dot(counts, roots_of_unity))
-    n_terms = int(mask.sum())
-    return ExpSumResult(
-        value=value,
-        n_terms=n_terms,
-        est_abs_error=n_terms * 2.0**-46,
-    ).check_trivial_bound()
+    return _phase_sum(*_phase_table(g, pt.q, sieve), pt)
 
 
 def crt_split(
@@ -169,12 +179,13 @@ def sqrt_cancel_audit(
     rows = []
     fitted_c = 0.0
     for q in range(1, q_max + 1):
-        units = [a for a in range(q) if math.gcd(a, q) == 1]  # [0] at q = 1
+        units = np.flatnonzero(np.gcd(np.arange(q), q) == 1).tolist()  # [0] at q = 1
         sample = units if len(units) <= AUDIT_SAMPLES else rng.sample(units, AUDIT_SAMPLES)
+        table = _phase_table(g, q, profile)
         best = 0.0
         for a in sorted(sample):
             pt = RationalPoint(a, q)
-            abs_sum = abs(complete_sum(g, pt, sieve=profile).value)
+            abs_sum = abs(_phase_sum(*table, pt).value)
             ratio = abs_sum / math.sqrt(q)
             rows.append(
                 {

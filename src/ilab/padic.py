@@ -1,5 +1,9 @@
 """Roots of polynomials modulo prime powers, Hensel lifting, and bounded
 intersectivity verdicts with reproducible p-adic root certificates.
+
+Certificates for many primes are chosen in one call (choose_roots): the
+roots mod p of each square-free factor come from roots_mod_primes for all
+the primes at once, and only the lifts of singular roots run per prime.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from .arith import crt_pair, divisors, factorize, primes_up_to, v_p, v_p_fractio
 from .poly import IntPolynomial, exact_div, square_free_decomposition
 
 ROOTS_BRUTE_LIMIT = 10**6
+SCAN_PRIME_LIMIT = 1000
+SCAN_BLOCK = 2**14
 
 
 class ResourceLimit(RuntimeError):
@@ -59,6 +65,239 @@ def _brute_roots(p: IntPolynomial, q: int) -> list[int]:
         raise ResourceLimit(f"brute-force root scan capped at q <= {ROOTS_BRUTE_LIMIT}")
     acc = values_mod(p, np.arange(q, dtype=np.int64), q)
     return np.nonzero(acc == 0)[0].tolist()
+
+
+# -- roots mod many primes at once ----------------------------------------------
+#
+# A batch holds one lane per prime: a row of int64 coefficients mod that
+# lane's prime, constant term first, every row of one degree.  A product of
+# two residues is below p^2 and a convolution or reduction sums at most
+# deg f + 1 of them, so (deg f + 1) * p^2 < 2^63 keeps every lane exact.
+
+
+def _degrees(rows: np.ndarray) -> np.ndarray:
+    """Degree of each row (-1 for a zero row)."""
+    nz = rows != 0
+    return np.where(nz.any(axis=1), rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def _lane_pow(x: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^e mod p lane by lane, for residues x."""
+    out = np.ones_like(x)
+    for bit in reversed(range(int(e.max()).bit_length())):
+        out = out * out % p
+        out = np.where((e >> bit) & 1 == 1, out * x % p, out)
+    return out
+
+
+def _monic(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each row divided by its leading coefficient mod its prime."""
+    lead = rows[np.arange(len(rows)), np.maximum(_degrees(rows), 0)]
+    return rows * _lane_pow(lead, p - 2, p)[:, None] % p[:, None]
+
+
+def _lane_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod (f, p) lane by lane: residues a, b of shape (L, n), monic
+    moduli f of shape (L, n + 1), primes p of shape (L, 1).  O(n) numpy
+    calls: one broadcast row product and one reduction step per degree."""
+    n = a.shape[1]
+    c = np.zeros((len(a), 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        c[:, i : i + n] += a[:, i : i + 1] * b
+    c %= p
+    for k in range(2 * n - 2, n - 1, -1):
+        c[:, k - n : k] -= c[:, k : k + 1] % p * f[:, :n]
+    return c[:, :n] % p
+
+
+def _lane_shifted_pow(
+    delta: np.ndarray, e: np.ndarray, f: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """(x + delta)^e mod (f, p) lane by lane, by square-and-multiply over the
+    bits of the largest e (a lane with a shorter e squares 1 until its top
+    bit); deg f >= 2 and residues delta."""
+    n = f.shape[1] - 1
+    pc = p[:, None]
+    out = np.zeros((len(f), n), dtype=np.int64)
+    out[:, 0] = 1
+    for bit in reversed(range(int(e.max()).bit_length())):
+        out = _lane_mulmod(out, out, f, pc)
+        # times x + delta: shift up, add delta * out, fold x^n back through f
+        up = np.zeros_like(out)
+        up[:, 1:] = out[:, :-1]
+        up = (up + delta[:, None] * out - out[:, n - 1 : n] * f[:, :n]) % pc
+        out = np.where(((e >> bit) & 1 == 1)[:, None], up, out)
+    return out
+
+
+def _lane_gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Monic gcd of the rows of a and b lane by lane (not both zero).  Each
+    step cancels the leading term of the higher-degree row with a multiple
+    of the other, lc(b) a - lc(a) x^(da - db) b, so no inverse is needed
+    until the end."""
+    rows, cols, pc = np.arange(len(a)), np.arange(a.shape[1]), p[:, None]
+    da, db = _degrees(a), _degrees(b)
+    while True:
+        swap = da < db
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        live = db >= 0
+        if not live.any():
+            return _monic(a, p)
+        src = cols - (da - db)[:, None]
+        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=1), 0)
+        la, lb = a[rows, da][:, None], b[rows, np.maximum(db, 0)][:, None]
+        a = np.where(live[:, None], (lb * a - la * shifted) % pc, a)
+        da = np.where(live, _degrees(a), da)
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime p
+    (Tonelli-Shanks)."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _split_roots(g: np.ndarray, p: np.ndarray) -> list[list[int]]:
+    """Sorted roots of each lane's monic g, a product of distinct linear
+    factors mod the odd prime p[i].  Degree 1 is read off, degree 2 takes a
+    modular square root, and degree >= 3 splits by equal-degree
+    factorization: x + delta with delta = 0, 1, 2, ... separates the roots
+    r by the quadratic character of r + delta, so g = gcd(w - 1, g) *
+    gcd(w + 1, g) * (x + delta if g(-delta) = 0) for w = (x + delta)^((p-1)/2);
+    a lane whose split is trivial retries with the next delta, in lanes
+    grouped by degree."""
+    roots: list[list[int]] = [[] for _ in p]
+    work = [(i, g[i, : d + 1], 0) for i, d in enumerate(_degrees(g))]
+    while work:
+        groups: dict[int, list] = {}
+        for lane, row, delta in work:
+            q = int(p[lane])
+            if len(row) == 2:
+                roots[lane].append(int(-row[0]) % q)
+            elif len(row) == 3:
+                b, c, half = int(row[1]), int(row[0]), (q + 1) // 2
+                s = _sqrt_mod((b * b - 4 * c) % q, q)
+                roots[lane] += [(-b + s) * half % q, (-b - s) * half % q]
+            elif len(row) > 3:
+                groups.setdefault(len(row) - 1, []).append((lane, row, delta))
+        work = []
+        for d, items in groups.items():
+            lanes = np.array([lane for lane, _, _ in items])
+            f = np.stack([row for _, row, _ in items])
+            delta = np.array([dl for _, _, dl in items], dtype=np.int64)
+            q = p[lanes]
+            assert (delta < q).all(), "every shift failed to split"
+            w = np.zeros_like(f)
+            w[:, :d] = _lane_shifted_pow(delta, (q - 1) // 2, f, q)
+            halves = []
+            for c in (1, -1):  # gcd(w - 1, f), then gcd(w + 1, f)
+                w[:, 0] -= c
+                halves.append(_lane_gcd(w % q[:, None], f, q))
+                w[:, 0] += c
+            degs = [_degrees(h) for h in halves]
+            at, x = np.zeros_like(q), (-delta) % q
+            for k in range(d, -1, -1):
+                at = (at * x + f[:, k]) % q
+            for k, (lane, row, dl) in enumerate(items):
+                parts = [h[k, : e[k] + 1] for h, e in zip(halves, degs)]
+                if max(len(part) for part in parts) <= d:
+                    work += [(lane, part, dl + 1) for part in parts if len(part) > 1]
+                    if at[k] == 0:
+                        roots[lane].append(int(-dl % q[k]))
+                else:
+                    work.append((lane, row, dl + 1))
+    return [sorted(r) for r in roots]
+
+
+def _residues(c: int, p: np.ndarray) -> np.ndarray:
+    """The integer c mod each lane's prime."""
+    if abs(c) < 2**62:
+        return np.int64(c) % p
+    return np.array([c % int(q) for q in p], dtype=np.int64)
+
+
+def _scan_roots(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]]:
+    """Sorted roots of f mod every prime in primes by int64 Horner passes
+    over all their residues at once, about SCAN_BLOCK residues (or one
+    prime) per pass."""
+    out: dict[int, list[int]] = {}
+    ends = np.cumsum(primes)
+    start = 0
+    while start < len(primes):
+        stop = start + int(np.searchsorted(ends[start:], ends[start] + SCAN_BLOCK))
+        sizes = np.array(primes[start:stop], dtype=np.int64)
+        q = np.repeat(sizes, sizes)
+        offsets = np.cumsum(sizes) - sizes
+        s = np.arange(len(q), dtype=np.int64) - np.repeat(offsets, sizes)
+        acc = np.zeros(len(q), dtype=np.int64)
+        for c in reversed(f.coeffs):
+            acc = (acc * s + np.repeat(_residues(c, sizes), sizes)) % q
+        hits = np.flatnonzero(acc == 0)
+        split = np.split(s[hits], np.searchsorted(hits, offsets[1:]))
+        out.update((p, r.tolist()) for p, r in zip(primes[start:stop], split))
+        start = stop
+    return out
+
+
+def roots_mod_primes(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]]:
+    """Sorted distinct roots of the nonzero f mod every prime in primes, all
+    primes at once.
+
+    Primes up to SCAN_PRIME_LIMIT or deg f share residue scans
+    (_scan_roots).  For each larger prime, g = gcd(x^p - x, f mod p) is the
+    product of the distinct linear factors of f mod p: x^p mod (f, p) comes
+    from lock-step square-and-multiply in int64 lanes, one lane per prime,
+    and the roots are read off g (_split_roots).  p | lc(f) lowers the
+    degree of its lane, lanes run grouped by degree, and a lane where
+    f = 0 mod p takes every residue.
+    """
+    if primes and max(primes) > ROOTS_BRUTE_LIMIT:
+        raise ResourceLimit(f"root scan capped at primes p <= {ROOTS_BRUTE_LIMIT}")
+    cut = max(SCAN_PRIME_LIMIT, f.degree)
+    out = _scan_roots(f, [p for p in primes if p <= cut])
+    out.update(_lane_roots(f, [p for p in primes if p > cut]))
+    return out
+
+
+def _lane_roots(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]]:
+    """roots_mod_primes for primes above deg f, in lanes."""
+    n = f.degree
+    out: dict[int, list[int]] = {}
+    lanes = np.array(primes, dtype=np.int64)
+    if not len(lanes):
+        return out
+    assert (n + 1) * int(lanes.max()) ** 2 < 2**63, "lane arithmetic would leave int64"
+    rows = np.stack([_residues(c, lanes) for c in f.coeffs], axis=1)
+    deg = _degrees(rows)
+    for d in sorted(set(deg.tolist())):
+        idx = np.flatnonzero(deg == d)
+        p = lanes[idx]
+        if d < 1:
+            out.update((q, list(range(q)) if d < 0 else []) for q in p.tolist())
+            continue
+        g = _monic(rows[idx, : d + 1], p)
+        if d >= 2:
+            w = np.zeros_like(g)
+            w[:, :d] = _lane_shifted_pow(np.zeros_like(p), p, g, p)
+            w[:, 1] -= 1
+            g = _lane_gcd(w % p[:, None], g, p)
+        out.update(zip(p.tolist(), _split_roots(g, p)))
+    return out
 
 
 def _lift_root_level(
@@ -254,47 +493,30 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
 
 
 def _hensel_candidate(
-    f: IntPolynomial, p: int, depth: int
+    f: IntPolynomial, p: int, depth: int, roots: list[int]
 ) -> Optional[tuple[int, int, int]]:
-    """Minimal-precision strong-Hensel witness for a square-free factor.
+    """Minimal-precision strong-Hensel witness for a square-free factor,
+    from its sorted distinct roots mod p.
 
     Returns (j, z, v) with f(z) = 0 mod p^j, v = v_p(f'(z)), j >= 2v+1,
-    choosing the smallest residue at the minimal such j; None if depth is
-    exhausted first.  Raises ResourceLimit for p past ROOTS_BRUTE_LIMIT or a
-    lift past that many residues.
+    choosing the smallest residue at the minimal such j; None once no root
+    can yield a witness within depth.  A root z mod p^j with t = f'(z) mod
+    p^j passes v = v_p(t) on to every lift when t != 0, and every lift has
+    v >= j when t = 0, so the lift stops when no root can reach v <= (depth
+    - 1) / 2.  Raises ResourceLimit for a lift past ROOTS_BRUTE_LIMIT
+    residues.
     """
     df = f.derivative()
-    if p > ROOTS_BRUTE_LIMIT:
-        raise ResourceLimit(f"root scan capped at primes p <= {ROOTS_BRUTE_LIMIT}")
-    # At j = 1 every simple root mod p is a witness with v = 0, so the
-    # smallest one decides; scan ascending in growing chunks and stop there.
-    # Without a simple root the scan has collected every root mod p.
-    roots: list[int] = []
-    lo, step = 0, max(64, p // 4)
-    while lo < p:
-        hi = min(p, lo + step)
-        chunk = np.arange(lo, hi, dtype=np.int64)
-        found = chunk[values_mod(f, chunk, p) == 0]
-        if len(found):
-            simple = found[values_mod(df, found, p) != 0]
-            if len(simple):
-                return 1, int(simple[0]), 0
-            roots.extend(found.tolist())
-        lo, step = hi, 2 * step
+    top = (depth - 1) // 2  # a witness within depth has v <= top
     for j, roots in _root_levels(f, p, roots):
-        pj = p**j
-        witnesses = []
+        pj, cut = p**j, p ** ((j + 1) // 2)
+        ts = []
         for z in roots:
             t = df.eval_mod(z, pj)
-            if t == 0:
-                continue
-            v = v_p(t, p)
-            if j >= 2 * v + 1:
-                witnesses.append((z, v))
-        if witnesses:
-            z, v = min(witnesses)
-            return j, z, v
-        if not roots or j >= depth:
+            if t % cut:  # v <= (j - 1) / 2: a witness at j
+                return j, z, v_p(t, p)
+            ts.append(t)
+        if not roots or (j > top and all(t % p ** (top + 1) == 0 for t in ts)):
             return None
 
 
@@ -310,48 +532,83 @@ def _rational_cert(f: IntPolynomial, u: int, p: int, depth: int, r: Fraction) ->
     return RootCert(p=p, j=depth, z=_residue(r, p**depth), m=u, v=v, factor=f, exact_root=r)
 
 
-def choose_root(
+def choose_roots(
     h: IntPolynomial,
-    p: int,
+    primes: list[int],
     depth: int = 8,
     factors: list[tuple[IntPolynomial, int]] | None = None,
-) -> RootCert:
-    """Deterministic p-adic root certificate for h at p.
+) -> dict[int, RootCert | Exception]:
+    """Deterministic p-adic root certificates for h at every prime in primes.
 
-    Policy: square-free factors are scanned in order of increasing
+    Maps each prime to its RootCert, or to the error choose_root raises
+    there.  Policy: square-free factors are tried in order of increasing
     multiplicity; within a factor the witness of minimal precision wins,
     ties broken by smallest residue.  If no bounded Hensel witness exists
     for a factor, its exact rational roots with denominator coprime to p
     are used instead; that fallback also serves a prime past
     ROOTS_BRUTE_LIMIT and a factor whose singular roots would lift past that
-    many residues.  When no factor certifies, the first such guard is raised
-    as ResourceLimit, and otherwise NoRootToDepth.
-    Callers certifying many primes pass square_free_decomposition(h) as
-    factors, so it is computed once rather than per prime.
+    many residues.  When no factor certifies, the first such guard is the
+    prime's error (ResourceLimit), and otherwise NoRootToDepth.
+    Each factor's roots mod p come from one roots_mod_primes call over the
+    primes still uncertified, and its rational roots are computed at most
+    once.  Callers pass square_free_decomposition(h) as factors when they
+    have it.
     """
     if h.is_zero:
         raise ValueError("zero polynomial has every residue as a root")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if h.degree < 1:
-        raise NoRootToDepth(f"constant polynomial has no p-adic root at p={p}")
+        return {
+            p: NoRootToDepth(f"constant polynomial has no p-adic root at p={p}") for p in primes
+        }
     if factors is None:
         factors = square_free_decomposition(h)
-    capped = None
+    out: dict[int, RootCert | Exception] = {}
+    capped: dict[int, ResourceLimit] = {}
+    todo = list(primes)
     for f, u in factors:
-        try:
-            cand = _hensel_candidate(f, p, depth)
-        except ResourceLimit as exc:
-            cand, capped = None, capped or exc
-        if cand is not None:
-            j, z, v = cand
-            return RootCert(p=p, j=j, z=z, m=u, v=v, factor=f)
-        usable = [r for r in rational_roots(f) if r.denominator % p != 0]
-        if usable:
-            return min((_rational_cert(f, u, p, depth, r) for r in usable), key=lambda c: c.z)
-    if capped is not None:
-        raise capped
-    raise NoRootToDepth(f"no certifiable root of {h} at p={p} within depth {depth}")
+        roots = roots_mod_primes(f, [p for p in todo if p <= ROOTS_BRUTE_LIMIT])
+        exact = None
+        rest = []
+        for p in todo:
+            try:
+                if p not in roots:
+                    raise ResourceLimit(f"root scan capped at primes p <= {ROOTS_BRUTE_LIMIT}")
+                cand = _hensel_candidate(f, p, depth, roots[p])
+            except ResourceLimit as exc:
+                cand = None
+                capped.setdefault(p, exc)
+            if cand is not None:
+                j, z, v = cand
+                out[p] = RootCert(p=p, j=j, z=z, m=u, v=v, factor=f)
+                continue
+            if exact is None:
+                exact = rational_roots(f)
+            usable = [r for r in exact if r.denominator % p != 0]
+            if usable:
+                out[p] = min((_rational_cert(f, u, p, depth, r) for r in usable), key=lambda c: c.z)
+            else:
+                rest.append(p)
+        todo = rest
+    for p in todo:
+        out[p] = capped.get(p) or NoRootToDepth(
+            f"no certifiable root of {h} at p={p} within depth {depth}"
+        )
+    return out
+
+
+def choose_root(
+    h: IntPolynomial,
+    p: int,
+    depth: int = 8,
+    factors: list[tuple[IntPolynomial, int]] | None = None,
+) -> RootCert:
+    """choose_roots at the one prime p: its certificate, or its error raised."""
+    out = choose_roots(h, [p], depth, factors)[p]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 @dataclass
@@ -427,17 +684,21 @@ def is_intersective(
     # certify each tested prime; a certified prime has roots at every precision
     certs: dict[int, RootCert] = {}
     failed: list[int] = []
-    factors = square_free_decomposition(h)
+    chosen = choose_roots(h, primes, depth)
     for p in primes:
-        try:
-            certs[p] = choose_root(h, p, depth, factors)
-        except NoRootToDepth:
+        out = chosen[p]
+        if isinstance(out, NoRootToDepth):
             failed.append(p)
+        elif isinstance(out, Exception):
+            raise out
+        else:
+            certs[p] = out
 
     if failed:
         # breadth-first emptiness scan over the uncertified primes: the
         # returned witness has minimal precision j, then minimal p
-        levels = {p: _root_levels(h, p, _brute_roots(h, p)) for p in failed}
+        roots = roots_mod_primes(h, failed)
+        levels = {p: _root_levels(h, p, roots[p]) for p in failed}
         for j in range(1, depth + 1):
             for p in list(levels):
                 try:

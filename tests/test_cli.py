@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ilab.auxiliary import AuxiliaryFamily
 from ilab.circle import dft_indicator
 from ilab.cli import build_parser, main
+from ilab.poly import parse_poly
 from ilab.setio import load_set, runs_of, save_dfset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -177,12 +179,17 @@ class TestExitCodes:
             (("circle", "dft", "--set", "{empty}"), "N must be >= 1, got 0"),
             (("circle", "dft", "--set", "{ten}", "--N", "0"), "N must be >= 1, got 0"),
             (("intersect", "check", "--poly", "x^2", "--depth", "0"), "depth must be >= 1, got 0"),
+            (("aux", "build", "--poly", "x^2", "--d", "1", "--depth", "0"), "depth must be >= 1, got 0"),
+            # the sextic needs precision 11 at p = 2, past the default depth 8
+            (("aux", "audit", "--poly", "(x^2-13)*(x^2-17)*(x^2-221)", "--dmax", "200"),
+             "error: no certifiable root of x^6-251x^4+6851x^2-48841 at p=2 within depth 8\n"),
             (("circle", "increment", "--set", "{ten}", "--q", "11", "--K", "1", "--theta", "0.5"),
              "q must not exceed N"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
              "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0", "trivial-huge-k",
-             "dft-empty-header", "dft-N0", "intersect-depth0", "increment-q-past-L"],
+             "dft-empty-header", "dft-N0", "intersect-depth0", "aux-depth0", "aux-sextic-depth8",
+             "increment-q-past-L"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         save_dfset(tmp_path / "empty.dfset", [], 0)
@@ -331,6 +338,15 @@ class TestPlumbing:
             code, out = run_cli(capsys, *argv)
             assert code == 0, argv
             assert "command" in json.loads(out), argv
+
+    def test_aux_depth_reaches_the_family(self, capsys):
+        # the sextic certifies p = 2 only from precision 11 on
+        sextic = "(x^2-13)*(x^2-17)*(x^2-221)"
+        code, out = run_cli(capsys, "aux", "build", "--poly", sextic, "--d", "12", "--depth", "12")
+        fam = AuxiliaryFamily(parse_poly(sextic), 12)
+        assert code == 0
+        assert (json.loads(out)["r_d"], json.loads(out)["lambda_d"]) == (fam.r_of(12), fam.lam(12))
+        assert main(["aux", "build", "--poly", sextic, "--d", "12"]) == 2
 
     def test_circle_dft_reads_dfset_N(self, capsys, tmp_path):
         f = tmp_path / "c.dfset"

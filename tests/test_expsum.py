@@ -178,6 +178,28 @@ class TestSqrtCancelAudit:
             if row["q"] in (9, 25, 49):
                 assert row["abs_sum"] < 1e-9
 
+    @pytest.mark.parametrize("text", ["x^3", "x^2", "3x^4-2x+5"])
+    @pytest.mark.parametrize("Y", [10, 100])
+    def test_one_histogram_per_q_is_bit_identical(self, text, Y):
+        # the reference bins g(s) a mod q afresh for every sampled unit a
+        g = parse_poly(text)
+        profile = SieveProfile.build(g, Y)
+        rng = random.Random(5)
+        expected = []
+        for q in range(1, 151):
+            units = [a for a in range(q) if math.gcd(a, q) == 1]
+            sample = units if len(units) <= 10 else rng.sample(units, 10)
+            classes = values_mod(g, np.arange(q, dtype=np.int64), q)[profile.mask(q, q)]
+            roots = np.exp(2j * np.pi * np.arange(q) / q)
+            for a in sorted(sample):
+                counts = np.bincount(classes * a % q, minlength=q)
+                expected.append((q, a, abs(complex(np.dot(counts, roots)))))
+                assert complete_sum(g, RationalPoint(a, q), sieve=profile).value == complex(
+                    np.dot(counts, roots)
+                )
+        rows, _ = sqrt_cancel_audit(g, 150, Y, seed=5)
+        assert [(r["q"], r["a"], r["abs_sum"]) for r in rows] == expected
+
 
 class TestWeylSum:
     def test_alpha_zero(self):

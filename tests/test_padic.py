@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ilab.arith import crt_pair, factorize
+from ilab.arith import crt_pair, factorize, primes_up_to
 import ilab.padic as padic
 from ilab.padic import (
     HenselConditionError,
     NoRootToDepth,
     ResourceLimit,
+    RootCert,
     _prime_power_roots,
     choose_root,
     hensel_lift,
@@ -397,3 +398,167 @@ class TestIsIntersective:
         j = is_intersective(X2, 30, 4).to_json()
         assert j["status"] == "intersective"
         assert "certs" in j
+
+
+# -- the per-prime certification path before roots_mod_primes: a chunked
+# residue scan per prime and a lift of the singular roots all the way to
+# depth, kept here as the oracle of the batched path
+
+
+def scan_hensel_candidate(f, p, depth):
+    df = f.derivative()
+    if p > padic.ROOTS_BRUTE_LIMIT:
+        raise ResourceLimit(f"root scan capped at primes p <= {padic.ROOTS_BRUTE_LIMIT}")
+    roots = []
+    lo, step = 0, max(64, p // 4)
+    while lo < p:
+        hi = min(p, lo + step)
+        chunk = np.arange(lo, hi, dtype=np.int64)
+        found = chunk[values_mod(f, chunk, p) == 0]
+        if len(found):
+            simple = found[values_mod(df, found, p) != 0]
+            if len(simple):
+                return 1, int(simple[0]), 0
+            roots.extend(found.tolist())
+        lo, step = hi, 2 * step
+    for j, roots in padic._root_levels(f, p, roots):
+        pj = p**j
+        witnesses = []
+        for z in roots:
+            t = df.eval_mod(z, pj)
+            if t == 0:
+                continue
+            v = padic.v_p(t, p)
+            if j >= 2 * v + 1:
+                witnesses.append((z, v))
+        if witnesses:
+            z, v = min(witnesses)
+            return j, z, v
+        if not roots or j >= depth:
+            return None
+
+
+def scan_choose_root(h, p, depth=8, factors=None):
+    if factors is None:
+        factors = square_free_decomposition(h)
+    capped = None
+    for f, u in factors:
+        try:
+            cand = scan_hensel_candidate(f, p, depth)
+        except ResourceLimit as exc:
+            cand, capped = None, capped or exc
+        if cand is not None:
+            j, z, v = cand
+            return padic.RootCert(p=p, j=j, z=z, m=u, v=v, factor=f)
+        usable = [r for r in rational_roots(f) if r.denominator % p != 0]
+        if usable:
+            return min((padic._rational_cert(f, u, p, depth, r) for r in usable), key=lambda c: c.z)
+    if capped is not None:
+        raise capped
+    raise NoRootToDepth(f"no certifiable root of {h} at p={p} within depth {depth}")
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (NoRootToDepth, ResourceLimit) as exc:
+        return type(exc), str(exc)
+
+
+class TestChooseRoots:
+    @pytest.mark.parametrize(
+        "text, depth", [("(x^3-19)(x^2+x+1)", 6), ("(x^2-13)(x^2-17)(x^2-221)", 12)]
+    )
+    def test_matches_the_scan_at_every_prime_below_20000(self, text, depth):
+        h = parse_poly(text)
+        primes = primes_up_to(20000)
+        factors = square_free_decomposition(h)
+        got = padic.choose_roots(h, primes, depth, factors)
+        assert sorted(got) == primes
+        for p in primes:
+            assert got[p] == scan_choose_root(h, p, depth, factors), p
+
+    def test_failures_keep_the_per_prime_errors(self, monkeypatch):
+        # x^2 + 1 has no root at p = 3 mod 4; x^2 - 235298 = x^2 - 2*7^6
+        # hits the lift guard at p = 7 under a lowered limit
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 2400)
+        primes = primes_up_to(60)
+        for h in (parse_poly("x^2+1"), parse_poly("x^2-235298"), parse_poly("(x^2+1)(x^2-235298)")):
+            got = padic.choose_roots(h, primes, 8)
+            for p in primes:
+                want = outcome(scan_choose_root, h, p, 8)
+                have = got[p] if isinstance(got[p], RootCert) else (type(got[p]), str(got[p]))
+                assert have == want, (h, p)
+
+    def test_prime_past_the_limit_in_a_batch(self):
+        got = padic.choose_roots(QUINTIC, [3, 1000003], 6)
+        assert got[3] == choose_root(QUINTIC, 3, 6)
+        assert isinstance(got[1000003], ResourceLimit)
+        assert "primes p <= 1000000" in str(got[1000003])
+
+    def test_rational_roots_once_per_factor(self, monkeypatch):
+        # x^2 + 1 fails at every p = 3 mod 4 and falls back to its (empty)
+        # rational roots; x - 1 then certifies
+        calls = []
+        real = padic.rational_roots
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(padic, "rational_roots", counting)
+        h = parse_poly("(x^2+1)(x-1)^2")
+        v = is_intersective(h, 2000, 8)
+        assert v.status == "intersective" and len(v.certs) == len(primes_up_to(2000))
+        assert calls.count(parse_poly("x^2+1")) == 1
+        assert max(calls.count(f) for f in calls) == 1
+
+
+class TestPrunedLift:
+    """The lift of singular roots stops once no root can reach a witness
+    within depth; the certificate is the one the full lift picks."""
+
+    def test_matches_the_full_lift(self):
+        rng = random.Random(404)
+        checked = 0
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            # roots that agree mod a power of p, so their factor is singular there
+            a = rng.randint(-20, 20)
+            h = IntPolynomial((1,))
+            for _ in range(rng.randint(2, 3)):
+                h = h * IntPolynomial((-(a + rng.choice([0, 1, 2, -1]) * p ** rng.randint(1, 3)), 1))
+            if rng.random() < 0.5:
+                h = h * random_poly(rng, deg_max=2, coeff=9)
+            depth = rng.randint(1, 8)
+            if h.degree < 1:
+                continue
+            want = outcome(scan_choose_root, h, p, depth)
+            if isinstance(want, tuple) and want[0] is ResourceLimit:
+                continue
+            assert outcome(choose_root, h, p, depth) == want, (h, p, depth)
+            checked += 1
+        assert checked > 250
+
+    def test_a_lift_that_cannot_reach_depth_is_not_guarded(self, monkeypatch):
+        # (x^2-2)(x^2-23) = (x^2-2)^2 mod 7: both roots 3, 4 are singular, so
+        # no lift can be a witness before j = 3.  At depth 2 the lift that
+        # the full path capped (2 * 7 > 13 residues) is never asked for.
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 13)
+        h = parse_poly("(x^2-2)(x^2-23)")
+        assert outcome(scan_choose_root, h, 7, 2)[0] is ResourceLimit
+        with pytest.raises(NoRootToDepth, match="within depth 2"):
+            choose_root(h, 7, 2)
+        with pytest.raises(ResourceLimit, match="capped at 13 residues"):
+            choose_root(h, 7, 3)
+
+    def test_x_times_x_minus_31_to_the_fourth(self, monkeypatch):
+        # both roots have v = 4 at p = 31, so a witness needs j >= 9; at depth
+        # 8 the lift stops at j = 7 (31^3 roots) instead of building the
+        # 31^4 roots mod 31^8, and the exact root 0 certifies as before
+        sizes = TestLiftCap.lifted_sizes(monkeypatch)
+        h = parse_poly("x(x-923521)")
+        c = choose_root(h, 31, 8)
+        assert (c.j, c.z, c.m, c.v, c.exact_root) == (8, 0, 1, 4, Fraction(0))
+        assert len(sizes) == 6  # lifts to j = 2, ..., 7

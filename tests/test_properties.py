@@ -1,7 +1,7 @@
 """Property tests of the fast exact paths against their slow references:
-shift_scale against Horner composition on polynomial objects, the
-first-simple-root scan of choose_root against a full residue scan, and
-parse_poly as the inverse of str."""
+shift_scale against Horner composition on polynomial objects, the batched
+roots mod p and the first simple root of choose_root against a full
+residue scan, and parse_poly as the inverse of str."""
 
 import math
 
@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ilab.arith import primes_up_to  # noqa: E402
-from ilab.padic import NoRootToDepth, _brute_roots, choose_root  # noqa: E402
+import ilab.padic as padic  # noqa: E402
+from ilab.padic import NoRootToDepth, _brute_roots, choose_root, roots_mod_primes  # noqa: E402
 from ilab.poly import (  # noqa: E402
     ZERO,
     IntegralityError,
@@ -115,6 +116,42 @@ def test_choose_root_j1_is_smallest_simple_root(case):
         if cert.j == 1 and cert.exact_root is None:
             assert cert.v == 0
             assert cert.z == min(simple[cert.factor])
+
+
+SMALL_PRIMES = primes_up_to(500)
+# the largest primes a root scan takes: lane products reach 10^12
+NEAR_LIMIT = [999953, 999959, 999961, 999979, 999983]
+
+
+@st.composite
+def square_free_polynomial(draw):
+    """A square-free integer polynomial of degree 1 to 6 with coefficients
+    in [-50, 50]."""
+    cs = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+    f = IntPolynomial(cs + [draw(st.integers(-50, 50).filter(bool))])
+    factors = square_free_decomposition(f)
+    assume(len(factors) == 1 and factors[0][1] == 1)
+    return f
+
+
+@PROPERTY
+@given(square_free_polynomial(), st.sampled_from(NEAR_LIMIT))
+@example(IntPolynomial([1, 1, 6]), 999983)  # 2 and 3 divide the leading coefficient
+@example(IntPolynomial([0, 5, 0, 30]), 999983)  # lc = 30, and f = 5x mod 3
+@example(IntPolynomial([5, 5, 5]), 999983)  # f = 0 mod 5: every residue
+@example(IntPolynomial([6, -5, 1]), 999983)  # (x-2)(x-3): a double root mod 2 (p | disc)
+@example(IntPolynomial([-49, 0, 0, 0, 0, 0, 1]), 999983)  # x^6 - 49: p = 2, 3, 5 <= deg
+@example(IntPolynomial([0, -1, 0, 0, 0, 0, 1]), 999983)  # x^6 - x: up to 6 roots to split
+def test_roots_mod_primes_match_the_residue_scan(f, big):
+    # every prime below 500 and one near the limit, through roots_mod_primes
+    # and through its lane path alone wherever that applies (p > deg f)
+    primes = SMALL_PRIMES + [big]
+    batched = roots_mod_primes(f, primes)
+    lanes = padic._lane_roots(f, [p for p in primes if p > f.degree])
+    for p in primes:
+        want = _brute_roots(f, p)
+        assert batched[p] == want, p
+        assert lanes.get(p, want) == want, p
 
 
 @PROPERTY
