@@ -7,7 +7,7 @@ every prime.  This demo decides the property (up to a tested bound) for a
 gallery of polynomials and inspects the certificates that witness it.
 """
 
-from ilab.padic import choose_root, is_intersective, roots_mod
+from ilab.padic import choose_roots, is_intersective, roots_mod
 from ilab.poly import parse_poly
 
 GALLERY = [
@@ -37,8 +37,9 @@ for text, note in GALLERY:
 print()
 print("Certificate anatomy for the rational-root-free example:")
 q = parse_poly("(x^3-19)(x^2+x+1)")
+certs = choose_roots(q, [2, 3, 5, 19])
 for p in (2, 3, 5, 19):
-    c = choose_root(q, p)
+    c = certs[p]
     print(
         f"  p={p:2d}: residue {c.z} mod {p}^{c.j}, multiplicity {c.m}, "
         f"derivative valuation {c.v}, certifying factor {c.factor}"
@@ -51,6 +52,6 @@ print("at j = 5.  Root counts of h mod 3^j:")
 for j in range(1, 6):
     print(f"  mod 3^{j}: {roots_mod(q, 3**j)}")
 
-c = choose_root(q, 3)
+c = certs[3]
 print(f"\nLifting the certificate residue to precision 3^9: {c.residue_mod(9)}")
 print(f"check: h(z) = 0 mod 3^9?  {q(c.residue_mod(9)) % 3**9 == 0}")

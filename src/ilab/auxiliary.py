@@ -1,10 +1,10 @@
 """Auxiliary polynomial families.
 
 A family fixes an intersective base polynomial h with positive leading
-coefficient plus a deterministic p-adic root choice per prime, and memoizes
-the induced objects: the shift r_d in (-d, 0], the completely multiplicative
-scale lambda(d), and the integer-coefficient auxiliary polynomial
-h_d(x) = h(r_d + d x) / lambda(d).
+coefficient plus a deterministic p-adic root choice per prime, held once
+chosen, and computes the induced objects from it on demand: the shift r_d
+in (-d, 0], the completely multiplicative scale lambda(d), and the
+integer-coefficient auxiliary polynomial h_d(x) = h(r_d + d x) / lambda(d).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import crt_pair, factorize, primes_up_to
-from .padic import RootCert, choose_root, choose_roots
+from .padic import RootCert, ResourceLimit, choose_roots
 from .poly import (
     IntPolynomial,
     content,
@@ -21,9 +21,11 @@ from .poly import (
     square_free_decomposition,
 )
 
+IMAGE_LIMIT = 10**7
+
 
 class AuxiliaryFamily:
-    """Memoizing container for (r_d, lambda(d), h_d) over a fixed base."""
+    """(r_d, lambda(d), h_d) over a fixed base, from one root certificate per prime."""
 
     def __init__(self, base: IntPolynomial, depth: int = 8):
         if base.is_zero or base.degree < 1:
@@ -36,9 +38,6 @@ class AuxiliaryFamily:
         self.depth = depth
         self._factors = square_free_decomposition(base)
         self._certs: dict[int, RootCert | Exception] = {}
-        self._r: dict[int, int] = {1: 0}
-        self._lambda: dict[int, int] = {1: 1}
-        self._aux: dict[int, IntPolynomial] = {}
 
     def certify(self, primes: list[int]) -> None:
         """Choose the certificates at every prime of primes not yet held, in
@@ -50,7 +49,7 @@ class AuxiliaryFamily:
     def cert(self, p: int) -> RootCert:
         """Root certificate at p, choosing one deterministically on demand."""
         if p not in self._certs:
-            self._certs[p] = choose_root(self.base, p, self.depth, self._factors)
+            self.certify([p])
         out = self._certs[p]
         if isinstance(out, Exception):
             raise out
@@ -60,27 +59,23 @@ class AuxiliaryFamily:
         """lambda(d) = prod p^(m_p * e_p): completely multiplicative."""
         if d < 1:
             raise ValueError("d must be positive")
-        if d not in self._lambda:
-            out = 1
-            for p, e in factorize(d):
-                out *= p ** (self.cert(p).m * e)
-            self._lambda[d] = out
-        return self._lambda[d]
+        out = 1
+        for p, e in factorize(d):
+            out *= p ** (self.cert(p).m * e)
+        return out
 
     def r_of(self, d: int) -> int:
         """The unique r_d in (-d, 0] with r_d = z_p mod p^e for each p^e || d."""
         if d < 1:
             raise ValueError("d must be positive")
-        if d not in self._r:
-            x, m = 0, 1
-            for p, e in factorize(d):
-                zp = self.cert(p).residue_mod(e)
-                x, m = crt_pair(x, m, zp, p**e)
-            r = x - d if x > 0 else 0
-            if self.base(r) % d != 0:
-                raise ArithmeticError(f"certificate failure: {d} does not divide h({r})")
-            self._r[d] = r
-        return self._r[d]
+        x, m = 0, 1
+        for p, e in factorize(d):
+            zp = self.cert(p).residue_mod(e)
+            x, m = crt_pair(x, m, zp, p**e)
+        r = x - d if x > 0 else 0
+        if self.base(r) % d != 0:
+            raise ArithmeticError(f"certificate failure: {d} does not divide h({r})")
+        return r
 
     def aux_poly(self, d: int) -> IntPolynomial:
         """h_d(x) = h(r_d + d x) / lambda(d), with exactness checks.
@@ -88,18 +83,16 @@ class AuxiliaryFamily:
         An IntegralityError here means a certificate carries the wrong
         multiplicity; it is allowed to propagate loudly.
         """
-        if d not in self._aux:
-            lam = self.lam(d)
-            hd = shift_scale(self.base, self.r_of(d), d, lam)
-            k = self.base.degree
-            ak = self.base.leading
-            if hd.leading * lam != d**k * ak:
-                raise ArithmeticError(f"leading coefficient identity failed at d={d}")
-            cap = 2**k * d**k * max(abs(c) for c in self.base.coeffs)
-            if any(abs(c) * lam > cap for c in hd.coeffs):
-                raise ArithmeticError(f"coefficient growth bound failed at d={d}")
-            self._aux[d] = hd
-        return self._aux[d]
+        lam = self.lam(d)
+        hd = shift_scale(self.base, self.r_of(d), d, lam)
+        k = self.base.degree
+        ak = self.base.leading
+        if hd.leading * lam != d**k * ak:
+            raise ArithmeticError(f"leading coefficient identity failed at d={d}")
+        cap = 2**k * d**k * max(abs(c) for c in self.base.coeffs)
+        if any(abs(c) * lam > cap for c in hd.coeffs):
+            raise ArithmeticError(f"coefficient growth bound failed at d={d}")
+        return hd
 
 
 @dataclass
@@ -170,6 +163,10 @@ def image_elements(p: IntPolynomial, bound: int) -> list[int]:
     R = sum(abs(c) for c in q.coeffs[:-1]) // ak
     # preimage of (0, bound] is contained in [1, (bound/ak)^(1/k) + R + 1]
     cutoff = int(round((bound / ak) ** (1.0 / k))) + R + 2
+    if cutoff > IMAGE_LIMIT:
+        raise ResourceLimit(
+            f"image enumeration capped at {IMAGE_LIMIT} values of n, got {cutoff}"
+        )
     out = set()
     for n in range(1, cutoff + 1):
         v = q(n)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import crt_pair, divisors, factorize, primes_up_to, v_p, v_p_fraction
+from .arith import divisors, factorize, primes_up_to, v_p, v_p_fraction
 from .poly import IntPolynomial, exact_div, square_free_decomposition
 
 ROOTS_BRUTE_LIMIT = 10**6
@@ -57,14 +57,6 @@ def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
         bound = (bound + 1) * (q - 1)
     acc %= q
     return acc
-
-
-def _brute_roots(p: IntPolynomial, q: int) -> list[int]:
-    """All residues r in [0, q) with q | p(r), by direct scan (q <= 1e6)."""
-    if q > ROOTS_BRUTE_LIMIT:
-        raise ResourceLimit(f"brute-force root scan capped at q <= {ROOTS_BRUTE_LIMIT}")
-    acc = values_mod(p, np.arange(q, dtype=np.int64), q)
-    return np.nonzero(acc == 0)[0].tolist()
 
 
 # -- roots mod many primes at once ----------------------------------------------
@@ -338,34 +330,17 @@ def _root_levels(f: IntPolynomial, p: int, roots: list[int]):
         j += 1
 
 
-def _prime_power_roots(p: IntPolynomial, prime: int, e: int) -> list[int]:
-    for j, roots in _root_levels(p, prime, _brute_roots(p, prime)):
-        if j == e or not roots:
-            return roots
-
-
 def roots_mod(p: IntPolynomial, q: int) -> list[int]:
-    """Sorted residues r in [0, q) with q | p(r).
-
-    Brute force for q <= 1e6; guarded prime-power lifting composed by CRT
-    otherwise.  The zero polynomial returns every residue (documented, not an
-    error).
+    """Sorted residues r in [0, q) with q | p(r), by a scan of every residue
+    (the zero polynomial returns them all).  Raises ResourceLimit for q past
+    ROOTS_BRUTE_LIMIT.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    if p.is_zero:
-        return list(range(q))
-    if q == 1:
-        return [0]
-    if q <= ROOTS_BRUTE_LIMIT:
-        return _brute_roots(p, q)
-    residues = [(0, 1)]
-    for prime, e in factorize(q):
-        pr = _prime_power_roots(p, prime, e)
-        residues = [crt_pair(r, m, s, prime**e) for r, m in residues for s in pr]
-        if not residues:
-            return []
-    return sorted(r for r, _ in residues)
+    if q > ROOTS_BRUTE_LIMIT:
+        raise ResourceLimit(f"root scan capped at q <= {ROOTS_BRUTE_LIMIT}, got q = {q}")
+    acc = values_mod(p, np.arange(q, dtype=np.int64), q)
+    return np.flatnonzero(acc == 0).tolist()
 
 
 def hensel_lift(g: IntPolynomial, p: int, n: int, j_target: int) -> int:
@@ -374,7 +349,8 @@ def hensel_lift(g: IntPolynomial, p: int, n: int, j_target: int) -> int:
     """
     if j_target < 1:
         raise ValueError("j_target must be positive")
-    dn = g.derivative()(n)
+    dg = g.derivative()
+    dn = dg(n)
     if dn == 0:
         raise HenselConditionError("derivative vanishes exactly at the start point")
     v = v_p(dn, p)
@@ -390,8 +366,7 @@ def hensel_lift(g: IntPolynomial, p: int, n: int, j_target: int) -> int:
         gx = g(x)
         if gx % target == 0:
             break
-        d = g.derivative()(x)
-        w = d // pv
+        w = dg(x) // pv
         step = (gx // pv) * pow(w % work, -1, work)
         x = (x - step) % work
     else:
@@ -474,7 +449,9 @@ class RootCert:
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
     """All rational roots of p, by the rational root theorem (exact): each
-    nonzero one is +-num/den in lowest terms with num | a_0 and den | a_k."""
+    nonzero one is +-num/den in lowest terms with num | a_0 and den | a_k.
+    Each candidate is tested in integers and becomes a Fraction only if it
+    is a root."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     coeffs = list(p.coeffs)
@@ -483,12 +460,20 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
         coeffs.pop(0)
     if len(coeffs) == 1:
         return out
-    trimmed = IntPolynomial(coeffs)
-    dens = divisors(abs(coeffs[-1]))
-    for num in divisors(abs(coeffs[0])):
-        for den in dens:
-            if math.gcd(num, den) == 1:
-                out += [r for r in (Fraction(num, den), Fraction(-num, den)) if trimmed(r) == 0]
+    k = len(coeffs) - 1
+    nums = divisors(abs(coeffs[0]))
+    for den in divisors(abs(coeffs[-1])):
+        # den^k p(x / den) = sum of c_i den^(k-i) x^i, by Horner at x = +-num
+        scaled = [c * den ** (k - i) for i, c in enumerate(coeffs)][::-1]
+        for num in nums:
+            if math.gcd(num, den) != 1:
+                continue
+            for x in (num, -num):
+                acc = 0
+                for c in scaled:
+                    acc = acc * x + c
+                if acc == 0:
+                    out.append(Fraction(x, den))
     return sorted(out)
 
 
@@ -540,14 +525,14 @@ def choose_roots(
 ) -> dict[int, RootCert | Exception]:
     """Deterministic p-adic root certificates for h at every prime in primes.
 
-    Maps each prime to its RootCert, or to the error choose_root raises
-    there.  Policy: square-free factors are tried in order of increasing
-    multiplicity; within a factor the witness of minimal precision wins,
-    ties broken by smallest residue.  If no bounded Hensel witness exists
-    for a factor, its exact rational roots with denominator coprime to p
-    are used instead; that fallback also serves a prime past
-    ROOTS_BRUTE_LIMIT and a factor whose singular roots would lift past that
-    many residues.  When no factor certifies, the first such guard is the
+    Maps each prime to its RootCert, or to the error that stops it there
+    (the caller raises it if it needs that prime).  Policy: square-free
+    factors are tried in order of increasing multiplicity; within a factor
+    the witness of minimal precision wins, ties broken by smallest residue.
+    If no bounded Hensel witness exists for a factor, its exact rational
+    roots with denominator coprime to p are used instead; that fallback also
+    serves a prime past ROOTS_BRUTE_LIMIT and a factor whose singular roots
+    would lift past that many residues.  When no factor certifies, the first such guard is the
     prime's error (ResourceLimit), and otherwise NoRootToDepth.
     Each factor's roots mod p come from one roots_mod_primes call over the
     primes still uncertified, and its rational roots are computed at most
@@ -595,19 +580,6 @@ def choose_roots(
         out[p] = capped.get(p) or NoRootToDepth(
             f"no certifiable root of {h} at p={p} within depth {depth}"
         )
-    return out
-
-
-def choose_root(
-    h: IntPolynomial,
-    p: int,
-    depth: int = 8,
-    factors: list[tuple[IntPolynomial, int]] | None = None,
-) -> RootCert:
-    """choose_roots at the one prime p: its certificate, or its error raised."""
-    out = choose_roots(h, [p], depth, factors)[p]
-    if isinstance(out, Exception):
-        raise out
     return out
 
 

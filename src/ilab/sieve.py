@@ -20,6 +20,7 @@ from .padic import ResourceLimit, roots_mod
 from .poly import IntPolynomial
 
 COUNT_NODE_LIMIT = 10**7
+MODULUS_DIGITS = 4000
 
 
 def is_identically_zero_mod(f: IntPolynomial, m: int) -> bool:
@@ -48,24 +49,30 @@ def gamma_j(g: IntPolynomial, p: int) -> tuple[int, int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SieveProfile:
-    """Per-prime sieve table for a fixed polynomial and real cutoff Y."""
+    """Per-prime sieve table for a fixed polynomial and real cutoff Y, and
+    its wheel period, the modulus prod p^gamma(p)."""
 
     g: IntPolynomial
     Y: float
     table: dict[int, tuple[int, int, tuple[int, ...]]]
+    modulus: int
 
     @classmethod
     def build(cls, g: IntPolynomial, Y: float) -> "SieveProfile":
-        table = {p: gamma_j(g, p) for p in primes_up_to(int(math.floor(Y)))}
-        return cls(g=g, Y=Y, table=table)
-
-    @property
-    def modulus(self) -> int:
-        """The wheel period M = prod p^gamma(p)."""
-        out = 1
-        for p, (gamma, _, _) in self.table.items():
-            out *= p**gamma
-        return out
+        """The table for the primes p <= Y, in ascending order.  Raises
+        ResourceLimit once the modulus prod p^gamma reaches
+        10^MODULUS_DIGITS, which also bounds the residues scanned."""
+        # each prime multiplies the modulus by p^gamma >= p, and the primes
+        # up to 3 * MODULUS_DIGITS alone reach the cap: none past them is used
+        table, modulus, cap = {}, 1, 10**MODULUS_DIGITS
+        for p in primes_up_to(min(int(math.floor(Y)), 3 * MODULUS_DIGITS)):
+            table[p] = gamma_j(g, p)
+            modulus *= p ** table[p][0]
+            if modulus >= cap:
+                raise ResourceLimit(
+                    f"sieve modulus capped at 10^{MODULUS_DIGITS} (reached at p = {p})"
+                )
+        return cls(g=g, Y=Y, table=table, modulus=modulus)
 
     def density(self) -> Fraction:
         """prod (1 - j(p)/p^gamma(p)), exactly."""

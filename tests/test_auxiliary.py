@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import ilab.auxiliary as auxiliary
 from ilab.auxiliary import AuxiliaryFamily, content_bound_audit, image_elements
-from ilab.padic import RootCert, roots_mod
+from ilab.padic import ResourceLimit, RootCert, roots_mod
 from ilab.poly import IntPolynomial, parse_poly
 
 X2 = parse_poly("x^2")
@@ -139,6 +140,14 @@ class TestImageElements:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             image_elements(IntPolynomial((3,)), 10)
+
+    def test_enumeration_guard_is_inclusive(self, monkeypatch):
+        # x - 50 at bound 49 walks n = 1 .. 49 + 50 + 2 = 101
+        monkeypatch.setattr(auxiliary, "IMAGE_LIMIT", 101)
+        assert image_elements(parse_poly("x-50"), 49) == list(range(1, 50))
+        monkeypatch.setattr(auxiliary, "IMAGE_LIMIT", 100)
+        with pytest.raises(ResourceLimit, match="capped at 100 values of n, got 101"):
+            image_elements(parse_poly("x-50"), 49)
 
 
 class TestInheritance:

@@ -4,14 +4,17 @@ round trips, and seed and output plumbing."""
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ilab.arith import primes_up_to
 from ilab.auxiliary import AuxiliaryFamily
 from ilab.circle import dft_indicator
 from ilab.cli import build_parser, main
@@ -87,15 +90,51 @@ class TestExitCodes:
         assert "capped at 2400 residues" in captured.err
 
     def test_sieve_table_lift_guard_exits_three(self, capsys, monkeypatch):
-        # g' = 2048x vanishes at every residue mod 2^11; above the limit the
-        # modulus 2^12 takes the lifting route, whose lift from 2^9 asks for
-        # 512 * 2 = 1024 residues
+        # g' = 2048x vanishes at every residue mod 2^11, so its roots are
+        # asked for mod 2^12, past the scan limit
         monkeypatch.setattr("ilab.padic.ROOTS_BRUTE_LIMIT", 1000)
         code = main(["sieve", "table", "--poly", "1024x^2", "--Y", "2"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1
-        assert "capped at 1000 residues (512 roots mod 2^9)" in captured.err
+        assert captured.err == "resource guard: root scan capped at q <= 1000, got q = 4096\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sets", "greedy", "--gens", "x^2-1000000000000x", "--N", "100"),
+             "image enumeration capped at 10000000 values of n, got 1000000000012"),
+            (("sets", "table", "--gens", "x^2-1000000000000x", "--Ns", "100"),
+             "image enumeration capped at 10000000 values of n, got 1000000000012"),
+            (("sets", "verify", "--gens", "x^2-1000000000000x", "--set", "{pair}", "--N", "100"),
+             "image enumeration capped at 10000000 values of n, got 1000000000012"),
+            (("sieve", "table", "--poly", "x^3+2x+5", "--Y", "20000"),
+             "sieve modulus capped at 10^4000 (reached at p = 9337)"),
+            (("sieve", "table", "--poly", "x^3+2x+5", "--Y", "300000"),
+             "sieve modulus capped at 10^4000 (reached at p = 9337)"),
+            (("sieve", "table", "--poly", "x^3+2x+5", "--Y", "1e300"),
+             "sieve modulus capped at 10^4000 (reached at p = 9337)"),
+            (("sieve", "table", "--poly", "1048576x^2", "--Y", "3"),
+             "root scan capped at q <= 1000000, got q = 4194304"),
+        ],
+        ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
+             "modulus-1e300", "sieve-scan"],
+    )
+    def test_size_guards_exit_three_quickly(self, capsys, tmp_path, argv, message):
+        (tmp_path / "pair.txt").write_text("1\n2\n")
+        start = time.perf_counter()
+        code = main([a.format(pair=tmp_path / "pair.txt") for a in argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"resource guard: {message}\n"
+        assert elapsed < 2
+
+    def test_sieve_modulus_just_below_the_cap_prints(self, capsys):
+        # gamma = 1 at every prime, so the modulus is the primorial of Y
+        code, out = run_cli(capsys, "sieve", "table", "--poly", "x^3+2x+5", "--Y", "9336")
+        modulus = json.loads(out)["modulus"]
+        assert code == 0 and modulus == math.prod(primes_up_to(9336))
+        assert 10**3990 < modulus < 10**4000
 
     def test_sumset_guard_exits_three(self, capsys):
         # the third x^2 would form 215907 x 999 pair sums

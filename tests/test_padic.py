@@ -15,8 +15,7 @@ from ilab.padic import (
     NoRootToDepth,
     ResourceLimit,
     RootCert,
-    _prime_power_roots,
-    choose_root,
+    choose_roots,
     hensel_lift,
     is_intersective,
     rational_roots,
@@ -35,6 +34,25 @@ def random_poly(rng, deg_max=4, coeff=30):
     # uniform over the nonzero integers in [-coeff, coeff], without listing them
     cs.append(rng.randint(1, coeff) * rng.choice((1, -1)))
     return IntPolynomial(cs)
+
+
+def choose_root(h, p, depth=8, factors=None):
+    """choose_roots at the one prime p: its certificate, or its error raised."""
+    out = choose_roots(h, [p], depth, factors)[p]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def prime_power_roots(f, p, e):
+    """Roots of f mod p^e, found a digit at a time: every root mod p^j
+    extends a root mod p^(j-1), so each level tests the p extensions of
+    the last level's roots directly.  An oracle for moduli past the scan."""
+    roots = [0]
+    for j in range(1, e + 1):
+        step, pj = p ** (j - 1), p**j
+        roots = [r + t * step for r in roots for t in range(p) if f.eval_mod(r + t * step, pj) == 0]
+    return sorted(roots)
 
 
 class TestValuesMod:
@@ -91,18 +109,6 @@ class TestRootsMod:
                     merged.add(r)
             assert sorted(merged) == roots_mod(p, q1 * q2)
 
-    def test_lifting_path_against_numpy_scan(self):
-        # q = 3^14 > brute limit exercises the prime-power lifting route
-        q = 3**14
-        p = parse_poly("x^2-7x+10")  # roots 2, 5 lift cleanly
-        got = roots_mod(p, q)
-        r = np.arange(q, dtype=np.int64)
-        acc = np.zeros(q, dtype=np.int64)
-        for c in reversed(p.coeffs):
-            acc = (acc * r + c % q) % q
-        expect = np.nonzero(acc == 0)[0].tolist()
-        assert got == expect
-
     def test_against_sympy_polynomial_congruence(self):
         sympy = pytest.importorskip("sympy")
         from sympy.ntheory.residue_ntheory import polynomial_congruence
@@ -120,17 +126,7 @@ class TestRootsMod:
             want = sorted(int(r) for r in polynomial_congruence(expr, q))
             assert roots_mod(p, q) == want
             (prime, e), = factorize(q)
-            assert _prime_power_roots(p, prime, e) == want
-
-    def test_composite_large_modulus(self):
-        q = 2**21 * 5  # > brute limit, composite
-        p = parse_poly("x^2-1")
-        got = roots_mod(p, q)
-        assert all(p(r) % q == 0 for r in got)
-        # count oracle: CRT of per-prime-power counts
-        n2 = len(roots_mod(p, 2**21))
-        n5 = len(roots_mod(p, 5))
-        assert len(got) == n2 * n5
+            assert prime_power_roots(p, prime, e) == want  # the oracle past the scan
 
 
 class TestHensel:
@@ -302,8 +298,9 @@ class TestLiftCap:
 
 
 class TestGuardedLifts:
-    """Every root-set lift (witness scan, prime-power roots, Hensel witness)
-    goes through the one ROOTS_BRUTE_LIMIT guard, which raises ResourceLimit."""
+    """Every root-set lift (witness scan, Hensel witness) goes through the one
+    ROOTS_BRUTE_LIMIT guard, which raises ResourceLimit, and so does every
+    residue scan."""
 
     def test_witness_scan_leaves_a_capped_prime_unresolved(self, monkeypatch):
         # x^2 + 2003 has only the singular root 0 mod 2003, and h(0) = -2003^5:
@@ -314,10 +311,11 @@ class TestGuardedLifts:
         assert max(sizes) <= padic.ROOTS_BRUTE_LIMIT
 
     def test_prime_power_route_is_guarded(self):
-        # 2^19 x vanishes at every residue mod 2^19: 2^19 roots would each lift
-        # to 2 candidates mod 2^20
-        with pytest.raises(ResourceLimit, match=f"capped at {padic.ROOTS_BRUTE_LIMIT} residues"):
+        # 2^19 x vanishes at every residue mod 2^19, so a lift to 2^20 would
+        # ask for 2^20 candidates: roots_mod refuses the modulus outright
+        with pytest.raises(ResourceLimit, match="root scan capped at q <= 1000000, got q = 1048576"):
             roots_mod(IntPolynomial([0, 2**19]), 2**20)
+        assert roots_mod(IntPolynomial([0, 2**19]), 2**19) == list(range(2**19))
 
     def test_prime_past_the_limit(self):
         p = 1000003
@@ -327,7 +325,7 @@ class TestGuardedLifts:
         with pytest.raises(ResourceLimit, match="primes p <= 1000000"):
             choose_root(QUINTIC, p)
         with pytest.raises(ResourceLimit, match="q <= 1000000"):
-            padic._brute_roots(QUINTIC, p)
+            roots_mod(QUINTIC, p)
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
@@ -348,7 +346,12 @@ class TestRationalRoots:
         sympy = pytest.importorskip("sympy")
         x = sympy.symbols("x")
         rng = random.Random(341)
-        polys = [parse_poly("x^2-100000000000000x"), parse_poly("x^2-1000000000000000000x")]
+        polys = [
+            parse_poly("x^2-100000000000000x"),
+            parse_poly("x^2-1000000000000000000x"),
+            # 2048 x 169 divisor pairs: every candidate is tested
+            IntPolynomial([269765397277917750, 3, -7, 11, 5, 10**12]),
+        ]
         for _ in range(30):
             p = IntPolynomial([rng.randint(-30, 30) or 1, rng.randint(-5, 5), 1])
             for _ in range(rng.randint(1, 3)):
@@ -381,7 +384,18 @@ class TestIsIntersective:
                 continue
             v = is_intersective(p, 60, 5)
             if v.status == "not_intersective":
-                assert roots_mod(p, v.witness_p**v.witness_j) == []
+                assert prime_power_roots(p, v.witness_p, v.witness_j) == []
+
+    def test_witness_past_the_scan_limit(self):
+        # 59x - 1 certifies every prime but 59, where it is a unit; 2 is a
+        # non-residue mod 59, so x^2 - 2*59^4 has the 59^2 roots 0 mod 59^2
+        # mod 59^4 and none mod 59^5 > ROOTS_BRUTE_LIMIT
+        h = parse_poly("(x^2-24234722)(59x-1)")
+        v = is_intersective(h, 60, 5)
+        assert (v.status, v.witness_p, v.witness_j) == ("not_intersective", 59, 5)
+        assert 59**5 > padic.ROOTS_BRUTE_LIMIT
+        assert prime_power_roots(h, 59, 5) == []
+        assert len(prime_power_roots(h, 59, 4)) == 59**2
 
     def test_coprime_denominator_rational_roots(self):
         # no integer root, but rational roots with coprime denominators

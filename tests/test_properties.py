@@ -1,7 +1,8 @@
 """Property tests of the fast exact paths against their slow references:
 shift_scale against Horner composition on polynomial objects, the batched
-roots mod p and the first simple root of choose_root against a full
-residue scan, and parse_poly as the inverse of str."""
+roots mod p and the first simple root of a certificate against the full
+residue scan roots_mod, the sieve's refusal of moduli past that scan, and
+parse_poly as the inverse of str."""
 
 import math
 
@@ -11,9 +12,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ilab.arith import primes_up_to  # noqa: E402
+from ilab.arith import primes_up_to, v_p  # noqa: E402
 import ilab.padic as padic  # noqa: E402
-from ilab.padic import NoRootToDepth, _brute_roots, choose_root, roots_mod_primes  # noqa: E402
+from ilab.padic import (  # noqa: E402
+    NoRootToDepth,
+    ResourceLimit,
+    choose_roots,
+    roots_mod,
+    roots_mod_primes,
+)
 from ilab.poly import (  # noqa: E402
     ZERO,
     IntegralityError,
@@ -22,6 +29,7 @@ from ilab.poly import (  # noqa: E402
     shift_scale,
     square_free_decomposition,
 )
+from ilab.sieve import SieveProfile  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 PRIMES = primes_up_to(2000)
@@ -98,15 +106,15 @@ def test_choose_root_j1_is_smallest_simple_root(case):
     h, p = case
     assume(h.degree >= 1)
     factors = square_free_decomposition(h)
-    try:
-        cert = choose_root(h, p, 3)
-    except NoRootToDepth:
+    cert = choose_roots(h, [p], 3)[p]
+    if isinstance(cert, NoRootToDepth):
         cert = None
+    assert not isinstance(cert, Exception)
     # the oracle: simple roots of each factor mod p, from the full scan
     simple = {}
     for f, _ in factors:
         df = f.derivative()
-        simple[f] = [z for z in _brute_roots(f, p) if df.eval_mod(z, p) != 0]
+        simple[f] = [z for z in roots_mod(f, p) if df.eval_mod(z, p) != 0]
     first, u = factors[0]
     if simple[first]:
         assert cert is not None and cert.factor == first and cert.m == u
@@ -149,9 +157,41 @@ def test_roots_mod_primes_match_the_residue_scan(f, big):
     batched = roots_mod_primes(f, primes)
     lanes = padic._lane_roots(f, [p for p in primes if p > f.degree])
     for p in primes:
-        want = _brute_roots(f, p)
+        want = roots_mod(f, p)
         assert batched[p] == want, p
         assert lanes.get(p, want) == want, p
+
+
+def gamma_oracle(g: IntPolynomial, p: int) -> int:
+    """1 + the least v_p of the forward differences of g' at 0: g' vanishes
+    mod p^e at every integer exactly when p^e divides all of them."""
+    vals = [g.derivative()(n) for n in range(g.degree)]
+    diffs = []
+    while vals:
+        diffs.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return 1 + min(v_p(d, p) for d in diffs if d)
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from(primes_up_to(50)),
+    e=st.integers(0, 24),
+    cs=st.lists(st.integers(-20, 20), min_size=2, max_size=5),
+    lead=st.integers(1, 9),
+    Y=st.integers(2, 50),
+)
+@example(p=2, e=20, cs=[0, 0], lead=1, Y=3)  # 1048576 x^2: gamma(2) = 22
+def test_sieve_refuses_moduli_past_the_scan(p, e, cs, lead, Y):
+    # p^e divides every coefficient of g', so gamma(p) > e
+    g = IntPolynomial([cs[0]] + [p**e * c for c in cs[1:]] + [p**e * lead])
+    gammas = {q: gamma_oracle(g, q) for q in primes_up_to(Y)}
+    if any(q**gam > padic.ROOTS_BRUTE_LIMIT for q, gam in gammas.items()):
+        with pytest.raises(ResourceLimit):
+            SieveProfile.build(g, Y)
+    else:
+        table = SieveProfile.build(g, Y).table
+        assert {q: row[0] for q, row in table.items()} == gammas
 
 
 @PROPERTY

@@ -7,8 +7,10 @@ import random
 import numpy as np
 import pytest
 
+from ilab.arith import primes_up_to
 from ilab.poly import IntPolynomial, parse_poly
 from ilab.sieve import (
+    MODULUS_DIGITS,
     SieveProfile,
     brun_compare,
     enumerate_w,
@@ -56,6 +58,13 @@ class TestGammaJ:
                 if gamma == 1:
                     assert j <= k - 1
                 assert j == len(roots)
+
+
+class TestModulusGuard:
+    def test_primes_read_reach_the_cap(self):
+        # build reads primes only up to 3 * MODULUS_DIGITS: their product
+        # alone must reach the cap, so a larger Y changes nothing
+        assert math.prod(primes_up_to(3 * MODULUS_DIGITS)) >= 10**MODULUS_DIGITS
 
 
 class TestMembership:
