@@ -116,29 +116,23 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """floor(x**(1/n)) for x >= 0, n >= 1, exact."""
+    """floor(x**(1/n)) for x >= 0, n >= 1, exact at every size.
+
+    Newton's iteration r <- ((n-1) r + x // r^(n-1)) // n decreases from
+    any start above the root and stops at the floor; the start
+    2^ceil(bit_length(x) / n) is above it."""
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return 0
     if n == 1:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
-
-
-def floor_nth_root_fraction(x: Fraction, n: int) -> int:
-    """floor(x**(1/n)) for a non-negative rational x, exact."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    r = integer_nth_root(x.numerator // x.denominator, n)
-    while Fraction((r + 1) ** n) <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def count_congruent_in_range(x: int, a: int, m: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import crt_pair, factorize, primes_up_to
+from .arith import crt_pair, factorize, integer_nth_root, primes_up_to
 from .padic import RootCert, ResourceLimit, choose_roots
 from .poly import (
     IntPolynomial,
@@ -22,6 +22,7 @@ from .poly import (
 )
 
 IMAGE_LIMIT = 10**7
+AUDIT_D_LIMIT = 10**5
 
 
 class AuxiliaryFamily:
@@ -111,11 +112,14 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
     """Audit the content bound for every d <= d_max; violations raise.
 
     The comparison cont(h_d)^2 <= |Delta|^(k-1) * cont(h)^2 is exact integer
-    arithmetic (the exponent (k-1)/2 may be half-integral).
+    arithmetic (the exponent (k-1)/2 may be half-integral).  d_max is
+    capped at AUDIT_D_LIMIT.
     """
     base = fam.base
     if base.degree < 2:
         raise ValueError("content bound audit requires degree >= 2")
+    if d_max > AUDIT_D_LIMIT:
+        raise ResourceLimit(f"content audit capped at d_max <= {AUDIT_D_LIMIT}, got {d_max}")
     k = base.degree
     disc = discriminant_abs(base)
     ch = content(base)
@@ -161,8 +165,9 @@ def image_elements(p: IntPolynomial, bound: int) -> list[int]:
     k = q.degree
     ak = q.leading
     R = sum(abs(c) for c in q.coeffs[:-1]) // ak
-    # preimage of (0, bound] is contained in [1, (bound/ak)^(1/k) + R + 1]
-    cutoff = int(round((bound / ak) ** (1.0 / k))) + R + 2
+    # preimage of (0, bound] is contained in [1, (bound/ak)^(1/k) + R + 1];
+    # (floor(2y) + 1) // 2 rounds y = (bound/ak)^(1/k) half up, exactly
+    cutoff = (integer_nth_root(2**k * bound // ak, k) + 1) // 2 + R + 2
     if cutoff > IMAGE_LIMIT:
         raise ResourceLimit(
             f"image enumeration capped at {IMAGE_LIMIT} values of n, got {cutoff}"

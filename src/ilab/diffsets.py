@@ -31,6 +31,11 @@ from .poly import IntPolynomial
 SUMSET_LIMIT = 10**8
 BITSET_LIMIT = 2**28  # bits, so the bool mask behind one bitset stays <= 256 MiB
 SEARCH_Q_LIMIT = 1000
+# members of the trivial construction; at k = 2 and the limit, its pairwise
+# re-verification takes about 15 s on a 2-core box
+TRIVIAL_LIMIT = 2**15
+# N of the Ruzsa lift; at the limit, q = 5 and k = 2 take about 2.5 s
+RUZSA_LIMIT = 10**7
 GREEDY_CHUNK = 2**14
 # one searchsorted lookup of a difference costs about as much as 8 words of
 # big-int shift-AND (measured on difference-free sets with N <= 10^7)
@@ -226,13 +231,16 @@ def greedy(N: int, generators: Sequence[IntPolynomial]) -> DiffFreeInstance:
 def trivial_multiples(N: int, k: int) -> DiffFreeInstance:
     """A = {x p : 1 <= x <= p^(k-1)} for the largest prime
     N^(1/k)/2 <= p <= N^(1/k); difference-free against x^k since every
-    difference is a multiple of p smaller than p^k."""
+    difference is a multiple of p smaller than p^k.  Refuses N whose
+    floor(N^(1/k))^(k-1), a bound on |A|, passes TRIVIAL_LIMIT."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if N < 1 or N.bit_length() <= k:  # N < 2^k without building 2^k
         raise ValueError("need N >= 2^k")
     hi = integer_nth_root(N, k)
     lo = -(-hi // 2)  # ceil(N^(1/k) / 2) within integer truncation
+    if hi ** (k - 1) > TRIVIAL_LIMIT:  # p <= hi: refused before the prime search
+        raise ResourceLimit(f"trivial construction capped at p^(k-1) <= {TRIVIAL_LIMIT} members")
     p = next((c for c in range(hi, lo - 1, -1) if is_prime(c)), None)
     assert p is not None, "Bertrand guarantees a prime in [N^(1/k)/2, N^(1/k)]"
     gens = [IntPolynomial([0] * k + [1])]
@@ -432,6 +440,8 @@ def ruzsa_lift(
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if N > RUZSA_LIMIT:
+        raise ResourceLimit(f"Ruzsa lift capped at N <= {RUZSA_LIMIT}, got {N}")
     B = sorted(set(int(b) % q for b in B))
     if not B:
         raise ValueError("B must be nonempty")
@@ -444,30 +454,17 @@ def ruzsa_lift(
     if not verify_modular(B, q, power_residues(q, k)):
         raise ValueError("B is not k-th-power-difference-free mod q")
 
-    n_digits = 1
-    while q**n_digits <= N:
-        n_digits += 1
-    members: list[int] = []
-
-    def extend(pos: int, value: int):
-        if value > N:
-            return
-        if pos == n_digits:
-            if 1 <= value <= N:
-                members.append(value)
-            return
-        choices = B if pos % k == 0 else range(q)
-        base = q**pos
-        for d in choices:
-            nv = value + d * base
-            if nv <= N:
-                extend(pos + 1, nv)
-            else:
-                break
-
-    extend(0, 0)
+    # digits lowest first: position pos takes B when pos = 0 mod k, else all
+    # of [0, q); a partial sum past N only grows, so it is dropped at once
+    vals = np.zeros(1, dtype=np.int64)
+    pos = 0
+    while q**pos <= N:
+        digits = np.array(B if pos % k == 0 else range(q), dtype=np.int64)
+        vals = (vals[:, None] + digits[digits <= N // q**pos] * q**pos).ravel()
+        vals = vals[vals <= N]
+        pos += 1
     gens = [IntPolynomial([0] * k + [1])]
-    inst = DiffFreeInstance(N, gens, [m for m in members if m >= 1])
+    inst = DiffFreeInstance(N, gens, vals[vals >= 1].tolist())
     bad = verify(inst)
     if bad is not None:
         return ConstructionRejected(violation=bad, q=q, k=k, N=N)

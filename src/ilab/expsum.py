@@ -23,12 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, floor_nth_root_fraction, omega
+from .arith import factorize, integer_nth_root, omega
 from .padic import ResourceLimit, values_mod
 from .poly import IntPolynomial, content
 from .sieve import SieveProfile
 
 COMPLETE_SUM_LIMIT = 4 * 10**6
+AUDIT_LIMIT = 10**7
 WEYL_LIMIT = 10**8
 MOMENT_LIMIT = 2 * 10**6
 WEYL_CHUNK = 2**18
@@ -49,10 +50,6 @@ class RationalPoint:
         g = math.gcd(self.a, self.q)
         if g != 1:
             raise ValueError(f"a/q must be reduced: a = {self.a}, q = {self.q}, gcd = {g}")
-
-    @property
-    def omega_q(self) -> int:
-        return omega(self.q)
 
 
 @dataclass
@@ -169,10 +166,17 @@ def sqrt_cancel_audit(
     mod q, records |S_restricted| / sqrt(q).  Returns (rows, summary); the
     summary fits the smallest C with max-ratio <= gcd(cont(g), q)^3 *
     C^omega(q) over composite-aware q; the true constant is ineffective, so
-    nothing is asserted.
+    nothing is asserted.  The residues scanned, 1 + 2 + ... + q_max, are
+    capped at AUDIT_LIMIT.
     """
     if g.degree < 2:
         raise ValueError("audit requires degree >= 2")
+    total = max(q_max, 0) * (q_max + 1) // 2
+    if total > AUDIT_LIMIT:
+        raise ResourceLimit(
+            f"square-root audit capped at {AUDIT_LIMIT} residues (sum of q <= q_max), "
+            f"got {total} for q_max = {q_max}"
+        )
     rng = random.Random(seed)
     profile = SieveProfile.build(g, Y)
     cg = content(g)
@@ -182,10 +186,12 @@ def sqrt_cancel_audit(
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1).tolist()  # [0] at q = 1
         sample = units if len(units) <= AUDIT_SAMPLES else rng.sample(units, AUDIT_SAMPLES)
         table = _phase_table(g, q, profile)
+        # omega and the class tags depend on q alone
+        w = omega(q)
+        tags = ",".join(tag for _, tag in crt_split(RationalPoint(units[0], q), profile))
         best = 0.0
         for a in sorted(sample):
-            pt = RationalPoint(a, q)
-            abs_sum = abs(_phase_sum(*table, pt).value)
+            abs_sum = abs(_phase_sum(*table, RationalPoint(a, q)).value)
             ratio = abs_sum / math.sqrt(q)
             rows.append(
                 {
@@ -193,15 +199,15 @@ def sqrt_cancel_audit(
                     "a": a,
                     "abs_sum": abs_sum,
                     "ratio_sqrt": ratio,
-                    "omega_q": pt.omega_q,
-                    "class_tags": ",".join(tag for _, tag in crt_split(pt, profile)),
+                    "omega_q": w,
+                    "class_tags": tags,
                 }
             )
             best = max(best, ratio)
         if q > 1:
             denom = math.gcd(cg, q) ** 3
             if best / denom > 0:
-                fitted_c = max(fitted_c, (best / denom) ** (1.0 / omega(q)))
+                fitted_c = max(fitted_c, (best / denom) ** (1.0 / w))
     summary = {"q_max": q_max, "Y": Y, "fitted_C": fitted_c, "rows": len(rows)}
     return rows, summary
 
@@ -435,7 +441,7 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
     b = g.leading
     if b <= 0:
         raise ValueError("positive leading coefficient required")
-    M = floor_nth_root_fraction(Fraction(L, 3 * b), k)
+    M = integer_nth_root(L // (3 * b), k)
     w = float(profile.density())
     # complex from the start, so the transform runs in place
     F = np.zeros(L, dtype=np.complex128)

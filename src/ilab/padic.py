@@ -170,14 +170,15 @@ def _split_roots(g: np.ndarray, p: np.ndarray) -> list[list[int]]:
     modular square root, and degree >= 3 splits by equal-degree
     factorization: x + delta with delta = 0, 1, 2, ... separates the roots
     r by the quadratic character of r + delta, so g = gcd(w - 1, g) *
-    gcd(w + 1, g) * (x + delta if g(-delta) = 0) for w = (x + delta)^((p-1)/2);
-    a lane whose split is trivial retries with the next delta, in lanes
-    grouped by degree."""
+    gcd(w + 1, g) * (x + delta if g(-delta) = 0) for w = (x + delta)^((p-1)/2).
+    Round delta splits every factor still open with that shift (a trivial
+    split is retried at the next round), in lanes grouped by degree."""
     roots: list[list[int]] = [[] for _ in p]
-    work = [(i, g[i, : d + 1], 0) for i, d in enumerate(_degrees(g))]
+    work = [(i, g[i, : d + 1]) for i, d in enumerate(_degrees(g))]
+    delta = 0
     while work:
         groups: dict[int, list] = {}
-        for lane, row, delta in work:
+        for lane, row in work:
             q = int(p[lane])
             if len(row) == 2:
                 roots[lane].append(int(-row[0]) % q)
@@ -186,33 +187,33 @@ def _split_roots(g: np.ndarray, p: np.ndarray) -> list[list[int]]:
                 s = _sqrt_mod((b * b - 4 * c) % q, q)
                 roots[lane] += [(-b + s) * half % q, (-b - s) * half % q]
             elif len(row) > 3:
-                groups.setdefault(len(row) - 1, []).append((lane, row, delta))
+                groups.setdefault(len(row) - 1, []).append((lane, row))
         work = []
         for d, items in groups.items():
-            lanes = np.array([lane for lane, _, _ in items])
-            f = np.stack([row for _, row, _ in items])
-            delta = np.array([dl for _, _, dl in items], dtype=np.int64)
+            lanes = np.array([lane for lane, _ in items])
+            f = np.stack([row for _, row in items])
             q = p[lanes]
             assert (delta < q).all(), "every shift failed to split"
             w = np.zeros_like(f)
-            w[:, :d] = _lane_shifted_pow(delta, (q - 1) // 2, f, q)
+            w[:, :d] = _lane_shifted_pow(np.full_like(q, delta), (q - 1) // 2, f, q)
             halves = []
             for c in (1, -1):  # gcd(w - 1, f), then gcd(w + 1, f)
                 w[:, 0] -= c
                 halves.append(_lane_gcd(w % q[:, None], f, q))
                 w[:, 0] += c
             degs = [_degrees(h) for h in halves]
-            at, x = np.zeros_like(q), (-delta) % q
+            at, x = np.zeros_like(q), -delta % q
             for k in range(d, -1, -1):
                 at = (at * x + f[:, k]) % q
-            for k, (lane, row, dl) in enumerate(items):
+            for k, (lane, row) in enumerate(items):
                 parts = [h[k, : e[k] + 1] for h, e in zip(halves, degs)]
                 if max(len(part) for part in parts) <= d:
-                    work += [(lane, part, dl + 1) for part in parts if len(part) > 1]
+                    work += [(lane, part) for part in parts if len(part) > 1]
                     if at[k] == 0:
-                        roots[lane].append(int(-dl % q[k]))
+                        roots[lane].append(-delta % int(q[k]))
                 else:
-                    work.append((lane, row, dl + 1))
+                    work.append((lane, row))
+        delta += 1
     return [sorted(r) for r in roots]
 
 
@@ -292,32 +293,21 @@ def _lane_roots(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]]:
     return out
 
 
-def _lift_root_level(
-    p: IntPolynomial, prime: int, roots: list[int], j: int
-) -> list[int]:
-    """Roots mod prime^(j+1) from the roots mod prime^j."""
-    pj = prime**j
-    pj1 = pj * prime
-    dp = p.derivative()
-    out = []
-    for r in roots:
-        d = dp.eval_mod(r, prime)
-        if d != 0:
-            # simple direction: unique lift by one Newton step
-            inv = pow(dp.eval_mod(r, pj1), -1, pj1)
-            out.append((r - p.eval_mod(r, pj1) * inv) % pj1)
-        else:
-            # singular direction: f(r + t*pj) = f(r) mod pj1 for every t,
-            # so either all p lifts survive or none do
-            if p.eval_mod(r, pj1) == 0:
-                out.extend(r + t * pj for t in range(prime))
-    return sorted(set(out))
+def _lift_root_level(f: IntPolynomial, p: int, roots: list[int], j: int) -> list[int]:
+    """Sorted roots mod p^(j+1) from the sorted roots mod p^j, every one of
+    them singular (f'(r) = 0 mod p).  Then f(r + t p^j) = f(r) mod p^(j+1)
+    for every t, so either all p lifts of r survive or none do."""
+    pj = p**j
+    alive = [r for r in roots if f.eval_mod(r, pj * p) == 0]
+    return [r + t * pj for t in range(p) for r in alive]
 
 
 def _root_levels(f: IntPolynomial, p: int, roots: list[int]):
-    """Yield (j, roots of f mod p^j) for j = 1, 2, ... from the roots mod p,
-    lifting a level only when asked for it; raises ResourceLimit instead once
-    the lift's len(roots) * p candidate residues pass ROOTS_BRUTE_LIMIT."""
+    """Yield (j, roots of f mod p^j) for j = 1, 2, ... from the sorted roots
+    mod p, lifting a level only when asked for it; raises ResourceLimit
+    instead once the lift's len(roots) * p candidate residues pass
+    ROOTS_BRUTE_LIMIT.  A caller asks for j = 2 only when every root mod p
+    is singular, as _lift_root_level needs."""
     j = 1
     while True:
         yield j, roots

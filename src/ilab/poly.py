@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .arith import floor_nth_root_fraction
+from .arith import integer_nth_root
 
 
 class IntegralityError(ValueError):
@@ -292,7 +292,7 @@ def preimage_symdiff(p: IntPolynomial, x) -> tuple[int, int]:
     ak = p.leading
     R = Fraction(sum(abs(c) for c in p.coeffs[:-1]), ak)
     bound = 3 * (R.numerator // R.denominator) + 2
-    m = floor_nth_root_fraction(x / ak, k)
+    m = integer_nth_root(math.floor(x / ak), k)
     interval = set(range(1, m + 1))
 
     if k == 1:

@@ -2,9 +2,12 @@
 
 For a polynomial g and each prime p, gamma(p) is the smallest power such
 that g' is not identically zero as a function modulo p^gamma(p), and j(p)
-counts the roots of g' at that modulus.  W(Y) keeps the inputs avoiding all
-those root classes for p <= Y; W^q(Y) relaxes to the primes whose p^gamma
-divides q.  Counting is exact (CRT inclusion-exclusion over root classes).
+counts the roots of g' at that modulus.  A modulus divides every value of
+g' exactly when it divides G = gcd(Delta^i g'(0) : i <= deg g'), the
+coefficients of g' in the Newton basis binom(x, i), so gamma(p) is
+1 + v_p(G).  W(Y) keeps the inputs avoiding all those root classes for
+p <= Y; W^q(Y) relaxes to the primes whose p^gamma divides q.  Counting
+is exact (CRT inclusion-exclusion over root classes).
 """
 
 from __future__ import annotations
@@ -15,36 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import count_congruent_in_range, crt_pair, primes_up_to
+from .arith import count_congruent_in_range, crt_pair, primes_up_to, v_p
 from .padic import ResourceLimit, roots_mod
 from .poly import IntPolynomial
 
 COUNT_NODE_LIMIT = 10**7
 MODULUS_DIGITS = 4000
-
-
-def is_identically_zero_mod(f: IntPolynomial, m: int) -> bool:
-    """Whether f(n) = 0 mod m for every integer n.
-
-    By the Newton forward-difference basis, vanishing at n = 0..deg(f)
-    forces vanishing everywhere.
-    """
-    if f.is_zero:
-        return True
-    return all(f.eval_mod(n, m) == 0 for n in range(f.degree + 1))
-
-
-def gamma_j(g: IntPolynomial, p: int) -> tuple[int, int, tuple[int, ...]]:
-    """(gamma, j, roots): minimal gamma with g' not identically zero mod
-    p^gamma, and the roots of g' at that modulus."""
-    if g.degree < 2:
-        raise ValueError("gamma_j requires degree >= 2")
-    dg = g.derivative()
-    gamma = 1
-    while is_identically_zero_mod(dg, p**gamma):
-        gamma += 1
-    roots = tuple(roots_mod(dg, p**gamma))
-    return gamma, len(roots), roots
 
 
 @dataclass(frozen=True)
@@ -65,9 +44,19 @@ class SieveProfile:
         # each prime multiplies the modulus by p^gamma >= p, and the primes
         # up to 3 * MODULUS_DIGITS alone reach the cap: none past them is used
         table, modulus, cap = {}, 1, 10**MODULUS_DIGITS
-        for p in primes_up_to(min(int(math.floor(Y)), 3 * MODULUS_DIGITS)):
-            table[p] = gamma_j(g, p)
-            modulus *= p ** table[p][0]
+        primes = primes_up_to(min(int(math.floor(Y)), 3 * MODULUS_DIGITS))
+        if primes and g.degree < 2:
+            raise ValueError(f"the sieve needs degree >= 2, got {g.degree}")
+        dg = g.derivative()
+        diffs, G = [dg(n) for n in range(dg.degree + 1)], 0
+        while diffs:
+            G = math.gcd(G, diffs[0])
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        for p in primes:
+            gamma = 1 + v_p(G, p)
+            roots = tuple(roots_mod(dg, p**gamma))
+            table[p] = (gamma, len(roots), roots)
+            modulus *= p**gamma
             if modulus >= cap:
                 raise ResourceLimit(
                     f"sieve modulus capped at 10^{MODULUS_DIGITS} (reached at p = {p})"

@@ -115,9 +115,25 @@ class TestExitCodes:
              "sieve modulus capped at 10^4000 (reached at p = 9337)"),
             (("sieve", "table", "--poly", "1048576x^2", "--Y", "3"),
              "root scan capped at q <= 1000000, got q = 4194304"),
+            # exact n-th roots: N = 10^400 no longer passes through a float
+            (("sets", "greedy", "--gens", "x^2", "--N", str(10**400)),
+             f"image enumeration capped at 10000000 values of n, got {10**200 + 2}"),
+            (("sets", "trivial", "--N", str(10**400), "--k", "2"),
+             "trivial construction capped at p^(k-1) <= 32768 members"),
+            # floor(sqrt(N)) = 32769 = TRIVIAL_LIMIT + 1
+            (("sets", "trivial", "--N", "1073807361", "--k", "2"),
+             "trivial construction capped at p^(k-1) <= 32768 members"),
+            (("sets", "ruzsa", "--B", "0,2", "--q", "5", "--k", "2", "--N", "300000000"),
+             "Ruzsa lift capped at N <= 10000000, got 300000000"),
+            (("expsum", "audit-sqrt", "--poly", "x^3", "--qmax", "1000000", "--Y", "0"),
+             "square-root audit capped at 10000000 residues (sum of q <= q_max), "
+             "got 500000500000 for q_max = 1000000"),
+            (("aux", "audit", "--poly", "(x^3-19)(x^2+x+1)", "--dmax", "1000000"),
+             "content audit capped at d_max <= 100000, got 1000000"),
         ],
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
-             "modulus-1e300", "sieve-scan"],
+             "modulus-1e300", "sieve-scan", "image-N-1e400", "trivial-N-1e400",
+             "trivial-past-limit", "ruzsa-N", "audit-sqrt-total", "aux-audit-dmax"],
     )
     def test_size_guards_exit_three_quickly(self, capsys, tmp_path, argv, message):
         (tmp_path / "pair.txt").write_text("1\n2\n")
@@ -224,11 +240,12 @@ class TestExitCodes:
              "error: no certifiable root of x^6-251x^4+6851x^2-48841 at p=2 within depth 8\n"),
             (("circle", "increment", "--set", "{ten}", "--q", "11", "--K", "1", "--theta", "0.5"),
              "q must not exceed N"),
+            (("sieve", "table", "--poly", "3x+1", "--Y", "2"), "the sieve needs degree >= 2, got 1"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
              "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0", "trivial-huge-k",
              "dft-empty-header", "dft-N0", "intersect-depth0", "aux-depth0", "aux-sextic-depth8",
-             "increment-q-past-L"],
+             "increment-q-past-L", "sieve-degree-1"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         save_dfset(tmp_path / "empty.dfset", [], 0)

@@ -263,6 +263,16 @@ class TestTrivialMultiples:
                 trivial_multiples(N, k)
         assert len(trivial_multiples(2, 1)) == 1
 
+    def test_member_guard_refuses_before_the_prime_search(self, monkeypatch):
+        # floor(N^(1/k))^(k-1) bounds the members; at N = 10^400 the prime
+        # search alone would test 200-digit numbers
+        with pytest.raises(ResourceLimit, match=r"p\^\(k-1\) <= 32768 members"):
+            trivial_multiples(10**400, 2)
+        monkeypatch.setattr(diffsets, "TRIVIAL_LIMIT", 100)
+        assert len(trivial_multiples(1000, 3)) == 7**2  # floor(1000^(1/3))^2 = 100
+        with pytest.raises(ResourceLimit, match=r"capped at p\^\(k-1\) <= 100 members"):
+            trivial_multiples(1331, 3)  # 11^2 = 121
+
     def test_million(self):
         inst = trivial_multiples(10**6, 2)
         p = min(inst.members)
@@ -505,6 +515,32 @@ class TestRuzsa:
         assert isinstance(out, DiffFreeInstance)
         assert len(out) == len(ruzsa_lift({0, 2}, 5, 2, 30)) > 0
         assert verify(out) is None
+
+    @pytest.mark.parametrize(
+        "B, q, k, N",
+        [({0}, 2, 2, 1000), ({0, 2}, 5, 2, 3000), ({1}, 5, 3, 5**5), ({0}, 3, 1, 500),
+         ({2, 4, 9}, 13, 2, 13**3 - 1)],
+    )
+    def test_lift_is_every_n_with_digits_in_b(self, B, q, k, N):
+        # the digits of n at positions 0 mod k lie in B (translated to hold 0)
+        shifted = {b - min(B) for b in B}
+
+        def digits(n):
+            out = []
+            while n:
+                n, d = divmod(n, q)
+                out.append(d)
+            return out
+
+        want = [n for n in range(1, N + 1) if all(d in shifted for d in digits(n)[::k])]
+        out = ruzsa_lift(B, q, k, N)
+        assert isinstance(out, DiffFreeInstance) and sorted(out.members) == want
+
+    def test_n_guard_refuses_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(diffsets, "RUZSA_LIMIT", 100)
+        assert len(ruzsa_lift({0}, 2, 2, 100)) == 7
+        with pytest.raises(ResourceLimit, match="Ruzsa lift capped at N <= 100, got 101"):
+            ruzsa_lift({0}, 2, 2, 101)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

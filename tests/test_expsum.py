@@ -31,7 +31,7 @@ from ilab.expsum import (
     weyl_minor_bound,
     weyl_sum,
 )
-from ilab.arith import floor_nth_root_fraction
+from ilab.arith import factorize, integer_nth_root
 from ilab.padic import values_mod
 from ilab.poly import parse_poly
 from ilab.sieve import SieveProfile
@@ -50,10 +50,6 @@ class TestRationalPoint:
             RationalPoint(2, 4)
         with pytest.raises(ValueError):
             RationalPoint(7, 7)
-
-    def test_omega(self):
-        assert RationalPoint(1, 12).omega_q == 2
-        assert RationalPoint(0, 1).omega_q == 0
 
 
 class TestCompleteSum:
@@ -160,8 +156,6 @@ class TestSqrtCancelAudit:
         rows, _ = sqrt_cancel_audit(X3, 40, 40, seed=2)
         pr = SieveProfile.build(X3, 40)
         k = 3
-        from ilab.arith import factorize
-
         for row in rows:
             q = row["q"]
             if q < 2:
@@ -171,6 +165,25 @@ class TestSqrtCancelAudit:
             gammas_one = all(p in pr.table and pr.table[p][0] == 1 for p, _ in fac)
             if squarefree and gammas_one:
                 assert row["ratio_sqrt"] <= k ** row["omega_q"] + 1e-9
+
+    def test_omega_and_class_tags_follow_each_row(self):
+        # computed once per q, they must equal the per-row values
+        pr = SieveProfile.build(X2, 10)
+        rows, _ = sqrt_cancel_audit(X2, 200, 10, seed=4)
+        assert (rows[0]["q"], rows[0]["omega_q"]) == (1, 0)
+        for row in rows:
+            pt = RationalPoint(row["a"], row["q"])
+            assert row["omega_q"] == len(factorize(row["q"]))
+            assert row["class_tags"] == ",".join(tag for _, tag in crt_split(pt, pr))
+
+    def test_total_work_guard(self, monkeypatch):
+        # 1 + 2 + ... + q_max residues: 4472 passes the 10^7 limit, 4471 does not
+        with pytest.raises(ResourceLimit, match="capped at 10000000 residues"):
+            sqrt_cancel_audit(X3, 4472, 0)
+        monkeypatch.setattr("ilab.expsum.AUDIT_LIMIT", 15)
+        assert len(sqrt_cancel_audit(X3, 5, 0)[0]) == 1 + 1 + 2 + 2 + 4
+        with pytest.raises(ResourceLimit, match="got 21 for q_max = 6"):
+            sqrt_cancel_audit(X3, 6, 0)
 
     def test_prime_square_vanishes(self):
         rows, _ = sqrt_cancel_audit(X2, 50, 50, seed=3)
@@ -453,7 +466,7 @@ def reference_moment_sum(g, L, m, profile):
     """moment_sum transforming a float histogram out of place, with a
     conjugate, a scaled copy and two float copies: the reference for the
     in-place complex transform."""
-    M = floor_nth_root_fraction(Fraction(L, 3 * g.leading), g.degree)
+    M = integer_nth_root(L // (3 * g.leading), g.degree)
     w = float(profile.density())
     F = np.zeros(L, dtype=np.float64)
     dg = g.derivative()

@@ -1,10 +1,12 @@
 """Property tests of the fast exact paths against their slow references:
 shift_scale against Horner composition on polynomial objects, the batched
 roots mod p and the first simple root of a certificate against the full
-residue scan roots_mod, the sieve's refusal of moduli past that scan, and
+residue scan roots_mod, the singular-only root lifts, the sieve's gamma
+against its definition and its refusal of moduli past that scan, and
 parse_poly as the inverse of str."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -18,6 +20,7 @@ from ilab.padic import (  # noqa: E402
     NoRootToDepth,
     ResourceLimit,
     choose_roots,
+    is_intersective,
     roots_mod,
     roots_mod_primes,
 )
@@ -124,6 +127,88 @@ def test_choose_root_j1_is_smallest_simple_root(case):
         if cert.j == 1 and cert.exact_root is None:
             assert cert.v == 0
             assert cert.z == min(simple[cert.factor])
+
+
+def lifted_roots(h: IntPolynomial, primes: list[int], depth: int) -> list[tuple]:
+    """(f, p, roots) of every _lift_root_level call that choose_roots and
+    is_intersective make for h."""
+    calls = []
+    lift = padic._lift_root_level
+
+    def recording(f, p, roots, j):
+        calls.append((f, p, roots))
+        return lift(f, p, roots, j)
+
+    with mock.patch.object(padic, "_lift_root_level", recording):
+        choose_roots(h, primes, depth)
+        try:
+            is_intersective(h, max(primes), depth)
+        except ResourceLimit:
+            pass
+    return calls
+
+
+LIFT_PRIMES = primes_up_to(13)
+
+
+@st.composite
+def colliding_roots(draw):
+    """A product of linear factors whose roots agree mod powers of a small
+    prime p, times x^2 - p^e u (whose p-adic roots, if any, show only at
+    high precision), possibly squared."""
+    p = draw(st.sampled_from(LIFT_PRIMES))
+    base = draw(st.integers(-20, 20))
+    h = IntPolynomial((1,))
+    for _ in range(draw(st.integers(0, 3))):
+        shift = p ** draw(st.integers(1, 4)) * draw(st.integers(-3, 3))
+        h = h * IntPolynomial((-(base + shift), 1))
+    if draw(st.booleans()):
+        h = h * IntPolynomial((-(p ** draw(st.integers(1, 5))) * draw(st.integers(1, 7)), 0, 1))
+    assume(h.degree >= 1)
+    if draw(st.booleans()):
+        h = h * h
+    return h
+
+
+@PROPERTY
+@given(colliding_roots())
+@example(parse_poly("x(x-2401)"))  # both roots 0 mod 7^4
+@example(parse_poly("x^2-235298"))  # 2 * 7^6: no root at 7 until j = 7
+@example(parse_poly("(x^2+9)^3*(x^2+1)"))  # not intersective: scanned at 2, 3, 5, ...
+def test_lifted_roots_are_singular(h):
+    # a simple root mod p certifies at j = 1, so only singular roots lift
+    for f, p, roots in lifted_roots(h, LIFT_PRIMES, 5):
+        df = f.derivative()
+        assert all(df.eval_mod(r, p) == 0 for r in roots), (f, p, roots)
+
+
+def test_the_singular_lift_property_reaches_the_lift():
+    for text in ("x(x-2401)", "x^2-235298", "(x^2+9)^3*(x^2+1)"):
+        assert lifted_roots(parse_poly(text), LIFT_PRIMES, 5), text
+
+
+@PROPERTY
+@given(
+    cs=st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+    scales=st.lists(st.integers(0, 9), min_size=6, max_size=6),
+    lead=st.integers(1, 5),
+)
+@example(cs=[0, 0], scales=[0] * 6, lead=1)  # x^2: gamma(2) = 2
+@example(cs=[0, 0, 1], scales=[0] * 6, lead=1)  # x^4 + x^2: g' = x^3 - x mod 3
+def test_gamma_matches_its_definition(cs, scales, lead):
+    # coefficients scaled by factorials make g' vanish identically mod
+    # prime powers that divide none of its coefficients alone
+    coeffs = [c * math.factorial(t) for c, t in zip(cs, scales)]
+    g = IntPolynomial(coeffs + [lead * math.factorial(scales[-1])])
+    assume(g.degree >= 2)
+    dg = g.derivative()
+    for p, (gamma, j, roots) in SieveProfile.build(g, 30).table.items():
+        below, at = p ** (gamma - 1), p**gamma
+        # g' vanishes at every residue mod p^(gamma-1), and not at every one mod p^gamma
+        assert all(dg.eval_mod(n, below) == 0 for n in range(below)), (p, gamma)
+        assert any(dg.eval_mod(n, at) != 0 for n in range(at)), (p, gamma)
+        assert roots == tuple(n for n in range(at) if dg.eval_mod(n, at) == 0)
+        assert j == len(roots)
 
 
 SMALL_PRIMES = primes_up_to(500)

@@ -14,8 +14,6 @@ from ilab.sieve import (
     SieveProfile,
     brun_compare,
     enumerate_w,
-    gamma_j,
-    is_identically_zero_mod,
 )
 
 X2 = parse_poly("x^2")
@@ -30,19 +28,29 @@ def random_profile(rng):
     return SieveProfile.build(g, Y)
 
 
+def gamma_row(g, p):
+    """(gamma, j, roots) at p from the profile's table."""
+    return SieveProfile.build(g, p).table[p]
+
+
 class TestGammaJ:
     def test_examples(self):
-        assert gamma_j(X3, 3) == (2, 3, (0, 3, 6))
-        assert gamma_j(X3, 2) == (1, 1, (0,))
-        assert gamma_j(X2, 5) == (1, 1, (0,))
-        assert gamma_j(X2, 2) == (2, 2, (0, 2))
+        assert gamma_row(X3, 3) == (2, 3, (0, 3, 6))
+        assert gamma_row(X3, 2) == (1, 1, (0,))
+        assert gamma_row(X2, 5) == (1, 1, (0,))
+        assert gamma_row(X2, 2) == (2, 2, (0, 2))
 
     def test_functional_vanishing(self):
-        # x^2 + x vanishes identically mod 2 without zero coefficients
-        assert is_identically_zero_mod(parse_poly("x^2+x"), 2)
-        assert not is_identically_zero_mod(parse_poly("x^2+x"), 4)
+        # (x^4 + x^2)' = 4x^3 + 2x = x^3 - x mod 3 vanishes identically mod 3
+        # with coefficients prime to 3, but not mod 9
+        assert gamma_row(parse_poly("x^4+x^2"), 3)[0] == 2
         g = parse_poly("x^3+2x")  # g' = 3x^2 + 2, never identically zero mod 3
-        assert gamma_j(g, 3)[0] == 1
+        assert gamma_row(g, 3)[0] == 1
+
+    def test_degree_below_two_needs_a_prime_to_fail(self):
+        with pytest.raises(ValueError, match="the sieve needs degree >= 2, got 1"):
+            SieveProfile.build(parse_poly("3x+1"), 2)
+        assert SieveProfile.build(parse_poly("3x+1"), 1.9).table == {}
 
     def test_idzero_divisibility(self):
         # p^(gamma-1) must divide k! * gcd of the derivative coefficients
