@@ -257,13 +257,25 @@ def power_residues(q: int, k: int) -> frozenset[int]:
     return frozenset(pow(x, k, q) for x in range(q)) - {0}
 
 
+class _PowerResidueTest:
+    """Membership in power_residues(q, k), square-free q, without listing it:
+    y = 0 mod q is out, else y must be a k-th power mod each p | q (CRT), that
+    is y = 0 mod p or y^((p-1)/gcd(k, p-1)) = 1 mod p (Euler's criterion)."""
+
+    def __init__(self, q: int, k: int):
+        self.q = q
+        self.exponents = [(p, (p - 1) // math.gcd(k, p - 1)) for p, _ in factorize(q)]
+
+    def __contains__(self, y: int) -> bool:
+        return y % self.q != 0 and all(y % p == 0 or pow(y, e, p) == 1 for p, e in self.exponents)
+
+
 def verify_modular(B, q: int, D) -> bool:
-    """True when no two elements of B differ (mod q) by an element of D."""
+    """True when no two elements of B differ (mod q) by a member of the container D."""
     elems = sorted(set(b % q for b in B))
-    Dset = set(D)
     for i, a in enumerate(elems):
         for b in elems[i + 1 :]:
-            if (b - a) % q in Dset or (a - b) % q in Dset:
+            if (b - a) % q in D or (a - b) % q in D:
                 return False
     return True
 
@@ -440,6 +452,8 @@ def ruzsa_lift(
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if N > RUZSA_LIMIT:
         raise ResourceLimit(f"Ruzsa lift capped at N <= {RUZSA_LIMIT}, got {N}")
     B = sorted(set(int(b) % q for b in B))
@@ -451,7 +465,7 @@ def ruzsa_lift(
     for p, e in factorize(q):
         if e > 1:
             raise ValueError("q must be squarefree")
-    if not verify_modular(B, q, power_residues(q, k)):
+    if not verify_modular(B, q, _PowerResidueTest(q, k)):
         raise ValueError("B is not k-th-power-difference-free mod q")
 
     # digits lowest first: position pos takes B when pos = 0 mod k, else all

@@ -6,11 +6,10 @@ sums with exact phase arithmetic, the major-arc asymptotic with its
 closed-form oscillatory integral, minor-arc ratio audits, and empirical
 moment sums of the normalized inner-iteration Weyl sum.
 
-Phase policy: for rational a/q the phase class g(s)*a mod q is computed in
-exact integer arithmetic and mapped through a q-th root-of-unity table; for
-a real beta the product beta*g(n) mod 1 is computed exactly using the dyadic
-rational that the IEEE double beta actually is, so the only float error is
-the final rounding.
+Phase policy: complete sums map the exact class g(s)*a mod q through a
+q-th root-of-unity table.  A Weyl-sum phase at alpha = a/q + beta is the
+fractional part of g(n)*alpha computed as one exact fraction and rounded
+once (_phases); beta is the dyadic rational its double is.
 """
 
 from __future__ import annotations
@@ -75,21 +74,6 @@ def _pair_tree(sums: list[complex]) -> complex:
             nxt.append(sums[-1])
         sums = nxt
     return sums[0]
-
-
-def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
-    """Deterministic fixed-block pairwise (tree) summation."""
-    return _pair_tree(
-        [complex(np.sum(values[i : i + block])) for i in range(0, len(values), block)]
-    )
-
-
-def frac_mul_exact(n: int, alpha: float) -> float:
-    """frac(n * alpha) computed exactly from alpha's dyadic representation."""
-    if alpha == 0.0:
-        return 0.0
-    num, den = alpha.as_integer_ratio()
-    return ((n * num) % den) / den
 
 
 def _phase_table(
@@ -212,6 +196,20 @@ def sqrt_cancel_audit(
     return rows, summary
 
 
+def _phases(g: IntPolynomial, a: int, q: int, beta: float, n: np.ndarray) -> np.ndarray:
+    """frac(g(n) (a/q + beta)), correctly rounded, at the integers n (int64,
+    or Python ints in an object array): a/q + beta = A/Q with Q = q den(beta),
+    g(n) A mod Q is exact (int64 Horner while Q*Q < 2**63, Python ints past
+    it), and the one division by Q is the only rounding."""
+    num, den = beta.as_integer_ratio()
+    A, Q = a * den + num * q, q * den
+    if Q * Q < 2**63:
+        return (values_mod(g, n, Q) * (A % Q) % Q).astype(np.float64) / Q
+    if g.is_zero:  # Horner over no coefficients returns the int 0, not an array
+        return np.zeros(len(n))
+    return (g(n.astype(object)) * A % Q / Q).astype(np.float64)
+
+
 def _weyl_terms(
     g: IntPolynomial,
     dg: Optional[IntPolynomial],
@@ -220,20 +218,7 @@ def _weyl_terms(
     n: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """The terms [g'(n)] e(g(n) (a/q + beta)) at the integers n, and their mass."""
-    q = pt.q
-    if q * q < 2**63:
-        idx = (values_mod(g, n, q) * pt.a) % q
-    else:
-        # q too large for int64 Horner; exact big-int residues
-        idx = np.array([g.eval_mod(int(t), q) * pt.a % q for t in n.tolist()])
-    phases = idx.astype(np.float64) / q
-    if beta != 0.0:
-        num, den = beta.as_integer_ratio()
-        extra = np.array(
-            [((g(int(t)) * num) % den) / den for t in n.tolist()], dtype=np.float64
-        )
-        phases = phases + extra
-    terms = np.exp(2j * np.pi * phases)
+    terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
     if dg is None:
         return terms, float(len(n))
     # derivative values fit a double exactly through 2^53; desk scale
@@ -255,12 +240,10 @@ def weyl_sum(
     """sum over n <= X (n in W(Y) if a profile is given) of
     [g'(n)] * e(g(n) * (a/q + beta)).
 
-    The rational part a/q uses exact residue classes; the real part beta
-    uses exact dyadic multiplication.  The terms are generated
-    WEYL_CHUNK integers at a time and summed in the fixed blocks of
-    pairwise_sum, the fewer than DEFAULT_BLOCK terms left at a chunk's end
-    carrying into the next, so memory stays bounded and the value is the
-    one pairwise_sum gives over all terms at once.
+    The terms are generated WEYL_CHUNK integers at a time and summed in
+    blocks of DEFAULT_BLOCK, the remainder of a chunk carrying into the next,
+    and the block sums are added pairwise: memory stays bounded, and the
+    value is the one this blocking gives over all terms held at once.
     """
     if X > WEYL_LIMIT:
         raise ResourceLimit(f"Weyl sums capped at X <= {WEYL_LIMIT}")
@@ -298,14 +281,11 @@ def oscillatory_integral(g: IntPolynomial, beta: float, X: int) -> complex:
     for beta != 0 and g(X) - g(0) for beta = 0; exact regardless of the
     monotonicity of g.
     """
-    u0, u1 = g(0), g(X)
     if beta == 0.0:
-        return complex(u1 - u0)
-
-    def e(u: int) -> complex:
-        return np.exp(2j * np.pi * frac_mul_exact(u, beta))
-
-    return (e(u1) - e(u0)) / (2j * np.pi * beta)
+        return complex(g(X) - g(0))
+    ends = np.array([0, X], dtype=object)
+    e0, e1 = (np.exp(2j * np.pi * t) for t in _phases(g, 0, 1, beta, ends).tolist())
+    return (e1 - e0) / (2j * np.pi * beta)
 
 
 @dataclass

@@ -37,7 +37,8 @@ class NoRootToDepth(ValueError):
 
 
 def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
-    """p(s) mod q elementwise, by int64 Horner; needs q*q < 2**63.
+    """p(s) mod q elementwise, by int64 Horner; needs q*q < 2**63.  s holds
+    int64 values or Python ints of any size (an object array).
 
     Every term is non-negative, so the accumulator is reduced only when the
     next step could pass 2**63 (tracked by an exact bound): small q takes
@@ -45,7 +46,7 @@ def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
     """
     if q * q >= 2**63:
         raise ValueError(f"int64 Horner needs q*q < 2**63, got q = {q}")
-    sq = s % q
+    sq = np.asarray(s % q, dtype=np.int64)
     acc = np.zeros(len(s), dtype=np.int64)
     bound = 0  # acc <= bound elementwise
     for c in reversed(p.coeffs):

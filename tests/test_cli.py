@@ -130,10 +130,14 @@ class TestExitCodes:
              "got 500000500000 for q_max = 1000000"),
             (("aux", "audit", "--poly", "(x^3-19)(x^2+x+1)", "--dmax", "1000000"),
              "content audit capped at d_max <= 100000, got 1000000"),
+            (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta", "1e-9",
+              "--X", str(10**30), "--Y", "10"),
+             "Weyl sums capped at X <= 100000000"),
         ],
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
              "modulus-1e300", "sieve-scan", "image-N-1e400", "trivial-N-1e400",
-             "trivial-past-limit", "ruzsa-N", "audit-sqrt-total", "aux-audit-dmax"],
+             "trivial-past-limit", "ruzsa-N", "audit-sqrt-total", "aux-audit-dmax",
+             "major-X-1e30"],
     )
     def test_size_guards_exit_three_quickly(self, capsys, tmp_path, argv, message):
         (tmp_path / "pair.txt").write_text("1\n2\n")
@@ -144,6 +148,15 @@ class TestExitCodes:
         assert code == 3 and captured.out == ""
         assert captured.err == f"resource guard: {message}\n"
         assert elapsed < 2
+
+    def test_ruzsa_large_q_exits_zero_quickly(self, capsys):
+        # B's differences are tested by Euler's criterion at each p | q, not
+        # against a listed set of about q residues
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "sets", "ruzsa", "--B", "0", "--q", "100000007",
+                            "--k", "2", "--N", "10")
+        assert code == 0 and json.loads(out)["size"] == 0
+        assert time.perf_counter() - start < 2
 
     def test_sieve_modulus_just_below_the_cap_prints(self, capsys):
         # gamma = 1 at every prime, so the modulus is the primorial of Y
@@ -241,11 +254,15 @@ class TestExitCodes:
             (("circle", "increment", "--set", "{ten}", "--q", "11", "--K", "1", "--theta", "0.5"),
              "q must not exceed N"),
             (("sieve", "table", "--poly", "3x+1", "--Y", "2"), "the sieve needs degree >= 2, got 1"),
+            (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta=nan",
+              "--X", "1000", "--Y", "10"), "cannot convert NaN to integer ratio"),
+            (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta=inf",
+              "--X", "1000", "--Y", "10"), "cannot convert Infinity to integer ratio"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
              "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0", "trivial-huge-k",
              "dft-empty-header", "dft-N0", "intersect-depth0", "aux-depth0", "aux-sextic-depth8",
-             "increment-q-past-L", "sieve-degree-1"],
+             "increment-q-past-L", "sieve-degree-1", "major-beta-nan", "major-beta-inf"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         save_dfset(tmp_path / "empty.dfset", [], 0)

@@ -31,6 +31,7 @@ from ilab.diffsets import (
     verify,
     verify_modular,
 )
+from ilab.arith import factorize
 from ilab.padic import ResourceLimit
 from ilab.poly import parse_poly
 
@@ -547,6 +548,20 @@ class TestRuzsa:
             ruzsa_lift({0}, 4, 2, 100)  # not squarefree
         with pytest.raises(ValueError):
             ruzsa_lift({0, 1}, 5, 2, 100)  # 1 - 0 is a square mod 5
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                ruzsa_lift({0, 2}, 5, k, 100)
+
+    def test_power_residue_test_matches_the_listed_residues(self):
+        # every square-free q <= 2000, k cycling through 1..6: every residue
+        # while q <= 300, a seeded sample of 150 past it
+        for q in range(2, 2001):
+            if any(e > 1 for _, e in factorize(q)):
+                continue
+            k = 1 + q % 6
+            D, test = power_residues(q, k), diffsets._PowerResidueTest(q, k)
+            ys = range(q) if q <= 300 else random.Random(q).sample(range(q), 150)
+            assert [y for y in ys if y in test] == [y for y in ys if y in D], (q, k)
 
 
 class TestDensityTable:

@@ -21,11 +21,10 @@ from ilab.expsum import (
     ResourceLimit,
     complete_sum,
     crt_split,
-    frac_mul_exact,
+    _phases,
     major_arc_asymptotic,
     moment_sum,
     oscillatory_integral,
-    pairwise_sum,
     sieved_minor_audit,
     sqrt_cancel_audit,
     weyl_minor_bound,
@@ -33,7 +32,7 @@ from ilab.expsum import (
 )
 from ilab.arith import factorize, integer_nth_root
 from ilab.padic import values_mod
-from ilab.poly import parse_poly
+from ilab.poly import IntPolynomial, parse_poly
 from ilab.sieve import SieveProfile
 
 X2 = parse_poly("x^2")
@@ -241,11 +240,13 @@ class TestWeylSum:
             assert abs(got - expected) < 1e-9 * X
 
     def test_exact_dyadic_phase(self):
+        # g = x at a/q = 0/1: the phase of n is frac(n * alpha), alpha being
+        # the dyadic rational num/den its double is
         rng = random.Random(505)
         for _ in range(100):
             n = rng.randint(1, 10**18)
             alpha = rng.random()
-            f = frac_mul_exact(n, alpha)
+            (f,) = _phases(IntPolynomial([0, 1]), 0, 1, alpha, np.array([n]))
             num, den = alpha.as_integer_ratio()
             assert f == ((n * num) % den) / den
             assert 0 <= f < 1
@@ -272,24 +273,34 @@ class TestWeylSum:
             weyl_sum(X2, RationalPoint(0, 1), 10**8 + 1)
 
 
+def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
+    """Deterministic fixed-block pairwise summation: the block sums are added
+    in pairs, level by level, an odd last one moving up a level."""
+    sums = [complex(np.sum(values[i : i + block])) for i in range(0, len(values), block)]
+    if not sums:
+        return 0j
+    while len(sums) > 1:
+        pairs = [sums[i] + sums[i + 1] for i in range(0, len(sums) - 1, 2)]
+        sums = pairs + sums[len(sums) - len(sums) % 2 :]
+    return sums[0]
+
+
 def materialized_weyl_sum(g, alpha, X, profile=None, weighted=False):
-    """Reference: every term of [1, X] held at once, then one pairwise_sum."""
+    """Reference: every term of [1, X] held at once, then one pairwise_sum.
+
+    Each phase is frac(g(n) alpha) rounded once: alpha = a/q + beta is the
+    reduced fraction A/Q, and Python ints give g(n) A mod Q exactly before
+    the one division (int64 residues do it while Q stays small)."""
     rat, beta = (alpha, 0.0) if isinstance(alpha, Fraction) else alpha
     n = np.arange(1, X + 1, dtype=np.int64)
     if profile is not None:
         n = n[profile.mask(X + 1)[1:]]
-    q = rat.denominator
-    a = rat.numerator % q
-    if q <= 10**6:
-        idx = (values_mod(g, n, q) * a) % q
+    exact = rat + Fraction(beta)
+    A, Q = exact.numerator % exact.denominator, exact.denominator
+    if Q <= 10**6:
+        phases = ((values_mod(g, n, Q) * A) % Q).astype(np.float64) / Q
     else:
-        idx = np.array([g.eval_mod(int(t), q) * a % q for t in n.tolist()])
-    phases = idx.astype(np.float64) / q
-    if beta != 0.0:
-        num, den = beta.as_integer_ratio()
-        phases = phases + np.array(
-            [((g(int(t)) * num) % den) / den for t in n.tolist()], dtype=np.float64
-        )
+        phases = np.array([g(t) * A % Q / Q for t in n.tolist()], dtype=np.float64)
     terms = np.exp(2j * np.pi * phases)
     if weighted:
         acc = np.zeros(len(n), dtype=np.float64)

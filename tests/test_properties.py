@@ -1,13 +1,16 @@
 """Property tests of the fast exact paths against their slow references:
 shift_scale against Horner composition on polynomial objects, the batched
-roots mod p and the first simple root of a certificate against the full
-residue scan roots_mod, the singular-only root lifts, the sieve's gamma
-against its definition and its refusal of moduli past that scan, and
-parse_poly as the inverse of str."""
+roots mod p against evaluation and a plain-Python gcd(x^p - x, f) root
+count, the first simple root of a certificate against the full residue scan
+roots_mod, the singular-only root lifts, the sieve's gamma against its
+definition and its refusal of moduli past that scan, parse_poly as the
+inverse of str, and the Weyl-sum phase against Fraction arithmetic."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -15,6 +18,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ilab.arith import primes_up_to, v_p  # noqa: E402
+from ilab.expsum import _phases  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
     NoRootToDepth,
@@ -242,9 +246,48 @@ def test_roots_mod_primes_match_the_residue_scan(f, big):
     batched = roots_mod_primes(f, primes)
     lanes = padic._lane_roots(f, [p for p in primes if p > f.degree])
     for p in primes:
-        want = roots_mod(f, p)
-        assert batched[p] == want, p
-        assert lanes.get(p, want) == want, p
+        for roots in (batched[p], lanes.get(p, batched[p])):
+            assert roots == sorted(set(roots)) and all(0 <= r < p for r in roots), p
+            assert all(f(r) % p == 0 for r in roots), p
+            assert len(roots) == root_count_mod_p(f.coeffs, p), p
+
+
+def _rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, trimmed; coefficient lists, constant term first, b
+    trimmed and nonzero.  Entries of a may be any integers."""
+    a, inv, m = a[:], pow(b[-1], -1, p), len(b) - 1
+    for top in range(len(a) - 1, m - 1, -1):
+        c = a[top] * inv % p
+        if c:
+            for i in range(m):
+                a[top - m + i] -= c * b[i]
+    a = [c % p for c in a[:m]]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def root_count_mod_p(coeffs, p: int) -> int:
+    """The number of distinct roots of f mod p, as deg gcd(x^p - x, f mod p)
+    (p when f = 0 mod p): x^p mod f by square-and-multiply, then Euclid, in
+    plain Python."""
+    f = [c % p for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return p
+    power = [1]  # x^e mod f, e running through the leading bits of p
+    for bit in bin(p)[2:]:
+        square = [0] * (2 * len(power))
+        for i, u in enumerate(power):
+            for j, v in enumerate(power):
+                square[i + j] += u * v
+        power = _rem_mod_p([0] + square if bit == "1" else square, f, p)
+    power += [0] * (2 - len(power))
+    a, b = f, _rem_mod_p([power[0], power[1] - 1] + power[2:], f, p)
+    while b:
+        a, b = b, _rem_mod_p(a, b, p)
+    return len(a) - 1
 
 
 def gamma_oracle(g: IntPolynomial, p: int) -> int:
@@ -289,3 +332,36 @@ def test_sieve_refuses_moduli_past_the_scan(p, e, cs, lead, Y):
 def test_parse_poly_inverts_str(cs):
     p = IntPolynomial(cs)
     assert parse_poly(str(p)) == p
+
+
+@st.composite
+def phase_case(draw):
+    """g, a/q (q small, or past the int64 Horner limit at q = 3037000507),
+    beta (0, +-tiny, 1e-300, 0.5 or any float in [-1, 1]) and the points n:
+    int64 Weyl-sum indices, or Python ints past int64 in an object array."""
+    g = IntPolynomial(draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5)))
+    q = draw(st.one_of(st.integers(1, 60), st.integers(3037000507, 10**20)))
+    a = draw(st.integers(0, q - 1))
+    tiny = draw(st.sampled_from([5e-324, 1e-300, 2.0**-60, 1e-9, 3.7e-7]))
+    beta = draw(st.one_of(
+        st.sampled_from([0.0, 1e-300, 0.5, tiny, -tiny]),
+        st.floats(-1, 1, allow_nan=False, allow_infinity=False),
+    ))
+    if draw(st.booleans()):
+        n = np.array(draw(st.lists(st.integers(0, 10**8), max_size=20)), dtype=np.int64)
+    else:
+        n = np.array(draw(st.lists(st.integers(-10**30, 10**30), max_size=20)), dtype=object)
+    return g, a, q, beta, n
+
+
+@PROPERTY
+@given(phase_case())
+@example((IntPolynomial([0, 0, 1]), 1, 3, 1e-9, np.arange(10**7 - 5, 10**7, dtype=np.int64)))
+@example((IntPolynomial([0, 0, 0, 1]), 7, 3037000507, 0.0, np.arange(1, 6, dtype=np.int64)))
+@example((IntPolynomial([0, 0, 1]), 0, 1, 0.5, np.array([0, 10**30], dtype=object)))
+def test_weyl_phase_is_the_correctly_rounded_fraction(case):
+    # each phase is float(frac(g(n) (a/q + beta))), bit for bit, from Fractions
+    g, a, q, beta, n = case
+    alpha = Fraction(a, q) + Fraction(beta)
+    want = [float(g(t) * alpha % 1).hex() for t in n.tolist()]
+    assert [x.hex() for x in _phases(g, a, q, beta, n).tolist()] == want

@@ -19,8 +19,6 @@ ALLOWED = {
     # argument without a CLI row yet; tests pin its bounds
     "weyl_minor_bound": "minor-arc envelope awaiting an `expsum minor` row",
     "sieved_minor_audit": "minor-arc audit awaiting an `expsum minor` row",
-    # the unblocked Weyl sum, the reference the streamed sum is tested against
-    "pairwise_sum": "test reference for the streamed Weyl sum",
 }
 
 
