@@ -23,11 +23,15 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, fl in enumerate(sieve) if fl]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit inputs and beyond desk scale."""
+    """Deterministic Miller-Rabin, valid for all 64-bit inputs and beyond desk
+    scale; below 3 215 031 751 the bases 2, 3, 5, 7 already decide (Jaeschke)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -35,7 +39,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES[: 4 if n < 3_215_031_751 else None]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -61,6 +65,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             n //= p
         if e:
             out.append((p, e))
+    if n > 1 and is_prime(n):  # a prime cofactor skips the trial-division wheel
+        return (*out, (n, 1))
     d = 7
     # 2/4-alternating wheel over numbers coprime to 2,3
     step = 4

@@ -9,7 +9,12 @@ integer-coefficient auxiliary polynomial h_d(x) = h(r_d + d x) / lambda(d).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .arith import crt_pair, factorize, integer_nth_root, primes_up_to
 from .padic import RootCert, ResourceLimit, choose_roots
@@ -22,7 +27,8 @@ from .poly import (
 )
 
 IMAGE_LIMIT = 10**7
-AUDIT_D_LIMIT = 10**5
+AUDIT_D_LIMIT = 10**6
+_INT64_MAX = 2**63 - 1
 
 
 class AuxiliaryFamily:
@@ -108,8 +114,35 @@ class ContentAuditReport:
     max_ratio: float
 
 
+def _prime_powers(primes: list[int], n: int) -> list[tuple[int, int]]:
+    """(p^e, p) for every power 1 < p^e <= n of a prime in primes, ascending."""
+    out = []
+    for p in primes:
+        q = p
+        while q <= n:
+            out.append((q, p))
+            q *= p
+    return sorted(out)
+
+
 def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
-    """Audit the content bound for every d <= d_max; violations raise.
+    """Audit cont(h_d) <= |Delta(h)|^((k-1)/2) * cont(h) for every d <= d_max;
+    violations raise.
+
+    cont(h_d) / cont(h) is multiplicative in d: a map x -> s + u x with u a
+    p-adic unit keeps the p-adic content, and r_d = r_q mod q for q = p^e || d,
+    so cont(h_d) = cont(h) * prod_{p^e || d} cont(h_{p^e}) / cont(h).  Hence
+    h_d is built only at the prime powers q <= d_max, ascending, and a
+    strided sweep gives cont(h_d) for every d.  Every check aux_poly makes is
+    decided at a prime power: the certificate at p, d | h(r_d) (by CRT, one
+    p^e || d at a time), integrality (p^(m_p e) divides the p-adic content)
+    and the leading-coefficient identity (algebraic); so each raises at the
+    same d, with the same message, as a walk over every d.  The content bound
+    is the one check that can first fail at a composite d: the sweep finds
+    the smallest violating d below the first failing prime power, and the
+    earlier of the two is raised.  The coefficient-growth bound follows from
+    |r_d| < d; one aux_poly(argmax_d) re-checks it at runtime, together with
+    the multiplicative identity.
 
     The comparison cont(h_d)^2 <= |Delta|^(k-1) * cont(h)^2 is exact integer
     arithmetic (the exponent (k-1)/2 may be half-integral).  d_max is
@@ -124,22 +157,57 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
     disc = discriminant_abs(base)
     ch = content(base)
     rhs_sq = disc ** (k - 1) * ch * ch
-    max_c, argmax, max_ratio, certified = 0, 1, 0.0, 0
-    for d in range(1, d_max + 1):
-        if d > certified:
-            # one batch for the primes up to d^2: few batches, and a prime p
-            # that fails raises at d = p, before any prime past p^2 is tried
-            certified = min(d * d, d_max)
-            fam.certify(primes_up_to(certified))
-        c = content(fam.aux_poly(d))
-        if c * c > rhs_sq:
-            raise ArithmeticError(
-                f"content bound violated at d={d}: cont={c}, bound^2={rhs_sq}"
-            )
-        ratio = c / (rhs_sq**0.5)
-        if c > max_c:
-            max_c, argmax = c, d
-        max_ratio = max(max_ratio, ratio)
+    bound = math.isqrt(rhs_sq)
+    primes = primes_up_to(d_max)
+    powers = _prime_powers(primes, d_max)
+    local = {1: ch}  # cont(h_q) at the prime powers q walked
+    failure, stop, certified = None, d_max + 1, 0  # the walk decides every d < stop
+    try:
+        for q, _ in powers:
+            while certified < q:
+                # at d = certified + 1, one batch for the primes up to d^2: few
+                # batches, and a prime p that fails raises at d = p
+                stop = certified + 1
+                certified = min(stop * stop, d_max)
+                fam.certify(primes[: bisect_right(primes, certified)])
+            stop = q
+            local[q] = content(fam.aux_poly(q))
+        stop = d_max + 1
+    except (ArithmeticError, ValueError, ResourceLimit) as exc:
+        failure = exc  # raised below unless a smaller d violates the bound
+    conts = np.full(max(stop, 1), ch, dtype=np.int64 if bound <= _INT64_MAX else object)
+    for q, p in powers:
+        if q >= stop:
+            break
+        # telescoped over p, p^2, ..., p^e: each d with p^e || d ends up
+        # scaled by exactly cont(h_{p^e}) / cont(h)
+        if local[q] == local[q // p]:
+            continue
+        step = Fraction(local[q], local[q // p])
+        view = conts[q::q]
+        view //= step.denominator
+        if conts.dtype != object and int(view.max()) > _INT64_MAX // step.numerator:
+            conts = conts.astype(object)
+            view = conts[q::q]
+        view *= step.numerator
+    over = np.flatnonzero(conts[1:] > bound)
+    if over.size:
+        d = int(over[0]) + 1
+        raise ArithmeticError(
+            f"content bound violated at d={d}: cont={int(conts[d])}, bound^2={rhs_sq}"
+        )
+    if failure is not None:
+        raise failure
+    max_c, argmax = 0, 1
+    if d_max >= 1:
+        argmax = int(np.argmax(conts[1:])) + 1
+        max_c = int(conts[argmax])
+        if content(fam.aux_poly(argmax)) != max_c:
+            raise ArithmeticError(f"local content identity failed at d={argmax}")
+    try:
+        max_ratio = max_c / rhs_sq**0.5
+    except OverflowError:  # rhs_sq is past the float range
+        max_ratio = max_c / bound
     return ContentAuditReport(
         d_max=d_max,
         disc_abs=disc,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -279,10 +280,20 @@ def oscillatory_integral(g: IntPolynomial, beta: float, X: int) -> complex:
 
     Substituting u = g(x) gives (e(g(X) beta) - e(g(0) beta)) / (2 pi i beta)
     for beta != 0 and g(X) - g(0) for beta = 0; exact regardless of the
-    monotonicity of g.
+    monotonicity of g.  For subnormal beta, 1 / (2 pi beta) overflows, so the
+    integral is taken as (g(X) - g(0)) e(m beta) sin(pi t) / (pi t), with m the
+    midpoint of g(0), g(X) and t = (g(X) - g(0)) beta exact until rounded;
+    its beta -> 0 limit is g(X) - g(0).
     """
     if beta == 0.0:
         return complex(g(X) - g(0))
+    if abs(beta) < sys.float_info.min:
+        u0, u1 = g(0), g(X)
+        b = Fraction(beta)
+        y = math.pi * float(b * (u1 - u0))
+        mid = b * (u0 + u1) / 2
+        turn = np.exp(2j * np.pi * float(mid - round(mid)))
+        return complex(u1 - u0) * turn * (math.sin(y) / y if y else 1.0)
     ends = np.array([0, X], dtype=object)
     e0, e1 = (np.exp(2j * np.pi * t) for t in _phases(g, 0, 1, beta, ends).tolist())
     return (e1 - e0) / (2j * np.pi * beta)

@@ -1,11 +1,12 @@
-"""Integer arithmetic against sympy: factorize by trial division and the
+"""Integer arithmetic against sympy: factorize by trial division, the
+Miller-Rabin primality test it leans on for a prime cofactor, and the
 divisors built from it."""
 
 import random
 
 import pytest
 
-from ilab.arith import divisors, factorize
+from ilab.arith import divisors, factorize, is_prime
 
 sympy = pytest.importorskip("sympy")
 
@@ -27,6 +28,18 @@ def test_factorize_large_matches_factorint():
     cases += [999999999989, 999983**2, 2**39, 3**25]
     for n in cases:
         assert factorize(n) == sympy_factorization(n), n
+
+
+def test_is_prime_matches_isprime():
+    # strong pseudoprimes to the bases 2, 3, 5 (caught by 7), to 2, 3, 5, 7
+    # (3215031751, the first n that needs all twelve bases) and beyond
+    spsp = [25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+            3825123056546413051]
+    rng = random.Random(1731)
+    cases = list(range(-2, 5000)) + [rng.randint(1, 10**12) for _ in range(300)]
+    cases += [p + dp for p in spsp for dp in (-2, 0, 2)] + [2**61 - 1, 2**64 - 59]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,19 +1,65 @@
-"""Auxiliary families: lambda, r_d, h_d, the content-bound audit, image sets,
-and the inheritance identity h_d(s + qn) = lambda(q) h_{qd}(n)."""
+"""Auxiliary families: lambda, r_d, h_d, the content-bound audit against a
+walk over every d, image sets, and the inheritance identity
+h_d(s + qn) = lambda(q) h_{qd}(n)."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import ilab.auxiliary as auxiliary
-from ilab.auxiliary import AuxiliaryFamily, content_bound_audit, image_elements
-from ilab.padic import ResourceLimit, RootCert, roots_mod
-from ilab.poly import IntPolynomial, parse_poly
+from ilab.arith import factorize, primes_up_to
+from ilab.auxiliary import (
+    AuxiliaryFamily,
+    ContentAuditReport,
+    content_bound_audit,
+    image_elements,
+)
+from ilab.padic import NoRootToDepth, ResourceLimit, RootCert, roots_mod
+from ilab.poly import IntPolynomial, content, parse_poly
 
 X2 = parse_poly("x^2")
 G12 = parse_poly("(x-1)(x-2)")
 QUINTIC = parse_poly("(x^3-19)(x^2+x+1)")
+SEXTIC = parse_poly("(x^2-13)*(x^2-17)*(x^2-221)")
+
+
+def per_d_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
+    """The content audit as a walk over every d <= d_max, building each h_d
+    (the reference for the local table and multiplicative sweep)."""
+    base = fam.base
+    k = base.degree
+    disc = auxiliary.discriminant_abs(base)
+    ch = content(base)
+    rhs_sq = disc ** (k - 1) * ch * ch
+    try:
+        root = rhs_sq**0.5
+    except OverflowError:  # past the float range: its integer square root
+        root = math.isqrt(rhs_sq)
+    max_c, argmax, max_ratio, certified = 0, 1, 0.0, 0
+    for d in range(1, d_max + 1):
+        if d > certified:
+            certified = min(d * d, d_max)
+            fam.certify(primes_up_to(certified))
+        c = content(fam.aux_poly(d))
+        if c * c > rhs_sq:
+            raise ArithmeticError(
+                f"content bound violated at d={d}: cont={c}, bound^2={rhs_sq}"
+            )
+        ratio = c / root
+        if c > max_c:
+            max_c, argmax = c, d
+        max_ratio = max(max_ratio, ratio)
+    return ContentAuditReport(d_max, disc, ch, max_c, argmax, max_ratio)
+
+
+def audit_outcome(audit, fam: AuxiliaryFamily, d_max: int):
+    """The audit's report, or the type and message of what it raises."""
+    try:
+        return audit(fam, d_max)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def family_z1(depth: int = 8) -> AuxiliaryFamily:
@@ -110,6 +156,98 @@ class TestContentAudit:
     def test_rejects_linear(self):
         with pytest.raises(ValueError):
             content_bound_audit(AuxiliaryFamily(parse_poly("0,2")), 10)
+
+    @pytest.mark.parametrize(
+        "poly, depth",
+        [("(x^3-19)(x^2+x+1)", 8), ("(x^2-13)*(x^2-17)*(x^2-221)", 12), ("x^2", 8),
+         ("x^3", 8), ("(x-1)(x-2)", 8), ("(x-1)^2*(x^2+x+1)^3", 8)],
+        ids=["quintic", "sextic-depth12", "x2", "x3", "g12", "repeated-roots"],
+    )
+    def test_matches_the_per_d_walk(self, poly, depth):
+        h = parse_poly(poly)
+        for d_max in (0, 1, 2, 97, 5000):
+            rep = content_bound_audit(AuxiliaryFamily(h, depth), d_max)
+            assert rep == per_d_audit(AuxiliaryFamily(h, depth), d_max)
+
+    @pytest.mark.parametrize(
+        "poly, depth",
+        [("(x^3-19)(x^2+x+1)", 8), ("(x^2-13)*(x^2-17)*(x^2-221)", 12),
+         ("(x-1)^2*(x^2+x+1)^3", 8), ("x(x-6)", 8)],
+        ids=["quintic", "sextic-depth12", "repeated-roots", "x(x-6)"],
+    )
+    def test_content_is_multiplicative_and_growth_bounded(self, poly, depth):
+        # cont(h_d) = cont(h) prod_{p^e || d} cont(h_{p^e}) / cont(h), and
+        # |coefficient of h_d| lambda(d) <= 2^k d^k max|a_i|, at every d <= 5000
+        h = parse_poly(poly)
+        fam = AuxiliaryFamily(h, depth)
+        fam.certify(primes_up_to(5000))
+        ch, k, height = content(h), h.degree, max(abs(c) for c in h.coeffs)
+        local = {}
+        for d in range(1, 5001):
+            hd = fam.aux_poly(d)
+            parts = factorize(d)
+            if len(parts) == 1:
+                local[d] = content(hd)
+            assert content(hd) == ch * math.prod(Fraction(local[p**e], ch) for p, e in parts)
+            assert -d < fam.r_of(d) <= 0
+            lam = fam.lam(d)
+            assert all(abs(c) * lam <= 2**k * d**k * height for c in hd.coeffs)
+
+    def test_sextic_without_depth_fails_at_d2(self):
+        # the certificate at p = 2 needs precision 11, past the default 8
+        message = "no certifiable root of x^6-251x^4+6851x^2-48841 at p=2 within depth 8"
+        assert content_bound_audit(AuxiliaryFamily(SEXTIC), 1).max_content == 1
+        for audit in (content_bound_audit, per_d_audit):
+            for d_max in (2, 200):
+                outcome = audit_outcome(audit, AuxiliaryFamily(SEXTIC), d_max)
+                assert outcome == (NoRootToDepth, message)
+
+    @pytest.mark.parametrize("fail_at, raised", [
+        (7, (ArithmeticError, "content bound violated at d=6: cont=6, bound^2=16")),
+        (5, (ArithmeticError, "planted failure at d=5")),
+        (4, (ArithmeticError, "planted failure at d=4")),
+    ])
+    def test_the_earlier_of_a_composite_violation_and_a_prime_power_failure(
+        self, monkeypatch, fail_at, raised
+    ):
+        # x(x-6) has cont(h_2) = 2 and cont(h_3) = 3, so cont(h_6) = 6; with
+        # |Delta| read as 16 the bound is 4, first broken at the composite d = 6
+        monkeypatch.setattr(auxiliary, "discriminant_abs", lambda base: 16)
+
+        def family():
+            fam = AuxiliaryFamily(parse_poly("x(x-6)"))
+            real = fam.aux_poly
+
+            def aux_poly(d):
+                if d % fail_at == 0:
+                    raise ArithmeticError(f"planted failure at d={d}")
+                return real(d)
+
+            fam.aux_poly = aux_poly
+            return fam
+
+        for audit in (content_bound_audit, per_d_audit):
+            assert audit_outcome(audit, family(), 12) == raised
+
+    def test_audit_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(auxiliary, "AUDIT_D_LIMIT", 50)
+        assert content_bound_audit(AuxiliaryFamily(QUINTIC), 50).d_max == 50
+        with pytest.raises(ResourceLimit, match="capped at d_max <= 50, got 51"):
+            content_bound_audit(AuxiliaryFamily(QUINTIC), 51)
+
+    def test_sweep_past_int64_runs_on_python_ints(self, monkeypatch):
+        # x(x-6) has content bound 6: with int64 read as ending at 5 the sweep
+        # starts on Python ints
+        fam = lambda: AuxiliaryFamily(parse_poly("x(x-6)"))  # noqa: E731
+        monkeypatch.setattr(auxiliary, "_INT64_MAX", 5)
+        rep = content_bound_audit(fam(), 100)
+        assert rep == per_d_audit(fam(), 100) and (rep.max_content, rep.argmax_d) == (6, 6)
+        # bound 4 fits, but cont(h_6) = 2 * 3 would pass int64's (read) end:
+        # the sweep moves to Python ints mid-way and still sees d = 6
+        monkeypatch.setattr(auxiliary, "discriminant_abs", lambda base: 16)
+        monkeypatch.setattr(auxiliary, "_INT64_MAX", 4)
+        with pytest.raises(ArithmeticError, match=r"at d=6: cont=6, bound\^2=16$"):
+            content_bound_audit(fam(), 12)
 
 
 class TestImageElements:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +129,8 @@ class TestExitCodes:
             (("expsum", "audit-sqrt", "--poly", "x^3", "--qmax", "1000000", "--Y", "0"),
              "square-root audit capped at 10000000 residues (sum of q <= q_max), "
              "got 500000500000 for q_max = 1000000"),
-            (("aux", "audit", "--poly", "(x^3-19)(x^2+x+1)", "--dmax", "1000000"),
-             "content audit capped at d_max <= 100000, got 1000000"),
+            (("aux", "audit", "--poly", "(x^3-19)(x^2+x+1)", "--dmax", "1000001"),
+             "content audit capped at d_max <= 1000000, got 1000001"),
             (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta", "1e-9",
               "--X", str(10**30), "--Y", "10"),
              "Weyl sums capped at X <= 100000000"),
@@ -148,6 +149,29 @@ class TestExitCodes:
         assert code == 3 and captured.out == ""
         assert captured.err == f"resource guard: {message}\n"
         assert elapsed < 2
+
+    @pytest.mark.parametrize("poly", ["(x-1)*(x^9+1000000000000000000000000000000)",
+                                      f"(x-1)*(x^7+{10**44})"])
+    def test_content_audit_ratio_past_the_float_range(self, capsys, poly):
+        # |Delta|^(k-1) cont(h)^2 is past the largest double: the ratio is
+        # taken against its integer square root and may underflow to 0.0
+        code, out = run_cli(capsys, "aux", "audit", "--poly", poly, "--dmax", "20")
+        payload = json.loads(out)
+        assert code == 0 and payload["max_content"] == 1
+        assert math.isfinite(payload["max_ratio"]) and 0.0 <= payload["max_ratio"] < 1e-300
+
+    def test_subnormal_beta_major_arc_is_finite(self, capsys):
+        # 1/(2 pi beta) overflows here; the integral tends to g(X) - g(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "expsum", "major", "--poly", "x^2", "-a", "1", "-q",
+                                "3", "--beta=5e-324", "--X", "1000", "--Y", "10")
+            _, ref = run_cli(capsys, "expsum", "major", "--poly", "x^2", "-a", "1", "-q",
+                             "3", "--beta=0", "--X", "1000", "--Y", "10")
+        payload, at_zero = json.loads(out), json.loads(ref)
+        assert code == 0 and payload["vdc_ok"] and payload["in_regime"]
+        for key in ("main_re", "main_im", "actual_re", "actual_im", "abs_err"):
+            assert payload[key] == pytest.approx(at_zero[key], rel=1e-12), key
 
     def test_ruzsa_large_q_exits_zero_quickly(self, capsys):
         # B's differences are tested by Euler's criterion at each p | q, not

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -395,6 +396,21 @@ class TestOscillatoryIntegral:
         for beta in (1.0, 2.5, -4.0):
             v = oscillatory_integral(X2, beta, 1000)
             assert abs(v) <= 1 / abs(beta)
+
+    def test_subnormal_beta_tends_to_the_range(self):
+        # 1/(2 pi beta) overflows below the smallest normal double; the
+        # integral is g(X) - g(0) up to a phase of order beta (g(0) + g(X))
+        tiny = sys.float_info.min
+        for g, X in ((X2, 1000), (X3, 10**30), (H2, 7)):
+            rng = g(X) - g(0)
+            for beta in (5e-324, -5e-324, 1e-310, math.nextafter(tiny, 0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    v = oscillatory_integral(g, beta, X)
+                assert v.real == pytest.approx(rng, rel=1e-15)
+                assert abs(v.imag) <= 4 * abs(beta) * abs(rng) * (abs(g(0)) + abs(g(X))) + 1e-300
+            # continuous with the closed form at the smallest normal beta
+            assert oscillatory_integral(g, tiny, X) == pytest.approx(rng, rel=1e-15)
 
 
 class TestMajorArc:

@@ -4,7 +4,8 @@ roots mod p against evaluation and a plain-Python gcd(x^p - x, f) root
 count, the first simple root of a certificate against the full residue scan
 roots_mod, the singular-only root lifts, the sieve's gamma against its
 definition and its refusal of moduli past that scan, parse_poly as the
-inverse of str, and the Weyl-sum phase against Fraction arithmetic."""
+inverse of str, the Weyl-sum phase against Fraction arithmetic, and the
+local content audit against a walk over every d."""
 
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ilab.arith import primes_up_to, v_p  # noqa: E402
+from ilab.auxiliary import AuxiliaryFamily, content_bound_audit  # noqa: E402
 from ilab.expsum import _phases  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
@@ -37,6 +39,7 @@ from ilab.poly import (  # noqa: E402
     square_free_decomposition,
 )
 from ilab.sieve import SieveProfile  # noqa: E402
+from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 PRIMES = primes_up_to(2000)
@@ -365,3 +368,30 @@ def test_weyl_phase_is_the_correctly_rounded_fraction(case):
     alpha = Fraction(a, q) + Fraction(beta)
     want = [float(g(t) * alpha % 1).hex() for t in n.tolist()]
     assert [x.hex() for x in _phases(g, a, q, beta, n).tolist()] == want
+
+
+@st.composite
+def intersective_product(draw):
+    """c (x - a)^m times up to two small factors, each possibly squared: the
+    integer root a makes it intersective; degree >= 2, leading coefficient > 0."""
+    a = draw(st.integers(-40, 40))
+    h = IntPolynomial((draw(st.integers(1, 6)),))
+    for _ in range(draw(st.integers(1, 3))):
+        h = h * IntPolynomial((-a, 1))
+    for _ in range(draw(st.integers(0, 2))):
+        f = IntPolynomial(draw(st.lists(st.integers(-12, 12), min_size=1, max_size=3))
+                          + [draw(st.integers(1, 3))])
+        h = h * (f * f if draw(st.booleans()) else f)
+    assume(h.degree >= 2)
+    return h
+
+
+@PROPERTY
+@given(h=intersective_product(), d_max=st.integers(0, 300), depth=st.integers(1, 10))
+@example(h=parse_poly("(x-1)^2*(x^2+x+1)^3"), d_max=300, depth=8)
+@example(h=parse_poly("x(x-6)"), d_max=300, depth=8)
+def test_local_content_audit_matches_the_per_d_walk(h, d_max, depth):
+    # the same report, or the same error with the same message
+    assert audit_outcome(content_bound_audit, AuxiliaryFamily(h, depth), d_max) == audit_outcome(
+        per_d_audit, AuxiliaryFamily(h, depth), d_max
+    )
