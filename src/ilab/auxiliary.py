@@ -28,7 +28,6 @@ from .poly import (
 
 IMAGE_LIMIT = 10**7
 AUDIT_D_LIMIT = 10**6
-_INT64_MAX = 2**63 - 1
 
 
 class AuxiliaryFamily:
@@ -175,7 +174,7 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
         stop = d_max + 1
     except (ArithmeticError, ValueError, ResourceLimit) as exc:
         failure = exc  # raised below unless a smaller d violates the bound
-    conts = np.full(max(stop, 1), ch, dtype=np.int64 if bound <= _INT64_MAX else object)
+    conts = np.full(max(stop, 1), ch, dtype=object)  # exact ints: cont(h_d) per d
     for q, p in powers:
         if q >= stop:
             break
@@ -186,9 +185,6 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
         step = Fraction(local[q], local[q // p])
         view = conts[q::q]
         view //= step.denominator
-        if conts.dtype != object and int(view.max()) > _INT64_MAX // step.numerator:
-            conts = conts.astype(object)
-            view = conts[q::q]
         view *= step.numerator
     over = np.flatnonzero(conts[1:] > bound)
     if over.size:

@@ -235,20 +235,6 @@ class TestContentAudit:
         with pytest.raises(ResourceLimit, match="capped at d_max <= 50, got 51"):
             content_bound_audit(AuxiliaryFamily(QUINTIC), 51)
 
-    def test_sweep_past_int64_runs_on_python_ints(self, monkeypatch):
-        # x(x-6) has content bound 6: with int64 read as ending at 5 the sweep
-        # starts on Python ints
-        fam = lambda: AuxiliaryFamily(parse_poly("x(x-6)"))  # noqa: E731
-        monkeypatch.setattr(auxiliary, "_INT64_MAX", 5)
-        rep = content_bound_audit(fam(), 100)
-        assert rep == per_d_audit(fam(), 100) and (rep.max_content, rep.argmax_d) == (6, 6)
-        # bound 4 fits, but cont(h_6) = 2 * 3 would pass int64's (read) end:
-        # the sweep moves to Python ints mid-way and still sees d = 6
-        monkeypatch.setattr(auxiliary, "discriminant_abs", lambda base: 16)
-        monkeypatch.setattr(auxiliary, "_INT64_MAX", 4)
-        with pytest.raises(ArithmeticError, match=r"at d=6: cont=6, bound\^2=16$"):
-            content_bound_audit(fam(), 12)
-
 
 class TestImageElements:
     def test_examples(self):
