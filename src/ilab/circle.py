@@ -163,22 +163,21 @@ class NoIncrement:
 def correlation_counts(B: set[int], L: int, q: int, X: int) -> np.ndarray:
     """c[x] = |B cap (P + x)| for every x in Z_L, P = {q, 2q, ..., Xq} mod L.
 
-    One real FFT correlation; each buffer is released once consumed, and
-    the counts are exact integers after rounding.
+    Exact integer window sums, no FFT: the indicator of B mod L, repeated
+    past L and laid out q per row (M), puts x + l q for l = 1, ..., X down
+    one column, so row i of the counts (x = i q + r) is M[i+1] + ... + M[i+X],
+    and each row is the one before plus M[i+X] - M[i].
     """
-    vec = np.zeros(L, dtype=np.float64)
-    vec[np.fromiter(B, dtype=np.int64, count=len(B)) % L] = 1.0
-    fb = np.fft.rfft(vec)
-    vec[:] = 0.0
-    vec[np.arange(1, X + 1, dtype=np.int64) * q % L] = 1.0
-    fp = np.fft.rfft(vec)
-    del vec
-    np.conjugate(fp, out=fp)
-    fb *= fp
-    del fp
-    corr = np.fft.irfft(fb, n=L)
-    del fb
-    return np.rint(corr).astype(np.int64)
+    rows = -(-L // q)
+    ind = np.zeros(L, dtype=np.int8)
+    ind[np.fromiter(B, dtype=np.int64, count=len(B)) % L] = 1
+    M = np.resize(ind, (rows + X, q))
+    del ind
+    counts = np.empty((rows, q), dtype=np.int64)
+    np.sum(M[1 : X + 1], axis=0, dtype=np.int64, out=counts[0])
+    np.cumsum(M[X + 1 : rows + X] - M[1:rows], axis=0, dtype=np.int64, out=counts[1:])
+    counts[1:] += counts[0]
+    return counts.ravel()[:L]
 
 
 def extract_progression(

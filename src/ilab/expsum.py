@@ -7,9 +7,13 @@ closed-form oscillatory integral, minor-arc ratio audits, and empirical
 moment sums of the normalized inner-iteration Weyl sum.
 
 Phase policy: complete sums map the exact class g(s)*a mod q through a
-q-th root-of-unity table.  A Weyl-sum phase at alpha = a/q + beta is the
-fractional part of g(n)*alpha computed as one exact fraction and rounded
-once (_phases); beta is the dyadic rational its double is.
+q-th root-of-unity table.  A Weyl-sum phase at alpha = a/q + beta = A/Q is
+the fractional part of g(n)*alpha computed as one exact fraction and
+rounded once (_phases); beta is the dyadic rational its double is.  When a
+chunk of Weyl terms holds at least Q terms (beta = 0 and small q in
+practice), the term for the exact class k = g(n)*A mod Q is read from the
+table e(k/Q), built with the same float operations as exp(2 pi i _phases),
+so the terms are the same bits either way.
 """
 
 from __future__ import annotations
@@ -197,13 +201,19 @@ def sqrt_cancel_audit(
     return rows, summary
 
 
+def _exact_alpha(a: int, q: int, beta: float) -> tuple[int, int]:
+    """(A, Q) with a/q + beta = A/Q and Q = q den(beta): beta is the dyadic
+    rational its double is."""
+    num, den = beta.as_integer_ratio()
+    return a * den + num * q, q * den
+
+
 def _phases(g: IntPolynomial, a: int, q: int, beta: float, n: np.ndarray) -> np.ndarray:
     """frac(g(n) (a/q + beta)), correctly rounded, at the integers n (int64,
-    or Python ints in an object array): a/q + beta = A/Q with Q = q den(beta),
-    g(n) A mod Q is exact (int64 Horner while Q*Q < 2**63, Python ints past
-    it), and the one division by Q is the only rounding."""
-    num, den = beta.as_integer_ratio()
-    A, Q = a * den + num * q, q * den
+    or Python ints in an object array): a/q + beta = A/Q, g(n) A mod Q is
+    exact (int64 Horner while Q*Q < 2**63, Python ints past it), and the one
+    division by Q is the only rounding."""
+    A, Q = _exact_alpha(a, q, beta)
     if Q * Q < 2**63:
         return (values_mod(g, n, Q) * (A % Q) % Q).astype(np.float64) / Q
     if g.is_zero:  # Horner over no coefficients returns the int 0, not an array
@@ -218,8 +228,17 @@ def _weyl_terms(
     beta: float,
     n: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """The terms [g'(n)] e(g(n) (a/q + beta)) at the integers n, and their mass."""
-    terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
+    """The terms [g'(n)] e(g(n) (a/q + beta)) at the int64 integers n, and
+    their mass.  With a/q + beta = A/Q and Q <= len(n), e(k/Q) comes from a
+    table indexed by the exact class g(n) A mod Q: the same floats as
+    exp(2 pi i _phases), from at most as many exponentials (and Q <= len(n)
+    <= WEYL_CHUNK keeps the class inside int64 Horner)."""
+    A, Q = _exact_alpha(pt.a, pt.q, beta)
+    if Q <= len(n):
+        roots = np.exp(2j * np.pi * (np.arange(Q) / Q))
+        terms = roots[values_mod(g, n, Q) * (A % Q) % Q]
+    else:
+        terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
     if dg is None:
         return terms, float(len(n))
     # derivative values fit a double exactly through 2^53; desk scale

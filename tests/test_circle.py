@@ -230,6 +230,29 @@ class TestExtractProgression:
         assert isinstance(extract_progression(set(), 100, 2, 1, 0.5), NoIncrement)
 
 
+def fft_correlation_counts(B, L, q, X):
+    """Reference: one real FFT correlation of the indicators of B and of
+    P = {q, ..., Xq} mod L, rounded back to integers."""
+    vec = np.zeros(L, dtype=np.float64)
+    vec[np.fromiter(B, dtype=np.int64, count=len(B)) % L] = 1.0
+    fb = np.fft.rfft(vec)
+    vec[:] = 0.0
+    vec[np.arange(1, X + 1, dtype=np.int64) * q % L] = 1.0
+    corr = np.fft.irfft(fb * np.conj(np.fft.rfft(vec)), n=L)
+    return np.rint(corr).astype(np.int64)
+
+
+def direct_correlation_counts(B, L, q, X):
+    """Reference: c[x] counted one shift l q at a time."""
+    ind = np.zeros(L, dtype=np.int64)
+    ind[[b % L for b in B]] = 1
+    x = np.arange(L)
+    counts = np.zeros(L, dtype=np.int64)
+    for l in range(1, X + 1):
+        counts += ind[(x + l * q) % L]
+    return counts
+
+
 class TestCorrelationCounts:
     def test_complex_fft_oracle(self):
         rng = random.Random(607)
@@ -254,3 +277,4 @@ class TestCorrelationCounts:
         P = [l * q for l in range(1, X + 1)]
         direct = [sum((p + x) % L in {b % L for b in B} for p in P) for x in range(L)]
         assert correlation_counts(B, L, q, X).tolist() == direct
+        assert direct_correlation_counts(B, L, q, X).tolist() == direct

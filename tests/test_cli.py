@@ -20,7 +20,7 @@ from ilab.auxiliary import AuxiliaryFamily
 from ilab.circle import dft_indicator
 from ilab.cli import build_parser, main
 from ilab.poly import parse_poly
-from ilab.setio import load_set, runs_of, save_dfset
+from ilab.setio import SET_FILE_LIMIT, load_set, runs_of, save_dfset
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = REPO / "schemas" / "cli_output.schema.json"
@@ -31,6 +31,31 @@ def subprocess_env(**extra: str) -> dict:
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.update(extra)
     return env
+
+
+def per_line_load_set(path):
+    """Reference DFSET1/plain loader: one run or member per line in Python
+    ints.  A run of length < 1 is malformed, as in load_set."""
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        return [], None
+    if lines[0].startswith("DFSET1"):
+        head = lines[0].split()
+        if len(head) != 2:
+            raise ValueError("malformed DFSET1 header")
+        N = int(head[1])
+        members = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"malformed DFSET1 run: {ln!r}")
+            start, length = int(parts[0]), int(parts[1])
+            if length < 1:
+                raise ValueError(f"malformed DFSET1 run: {ln!r}")
+            members.extend(range(start, start + length))
+        return sorted(set(members)), N
+    return sorted({int(ln) for ln in lines}), None
 
 
 @pytest.fixture(scope="module")
@@ -134,16 +159,26 @@ class TestExitCodes:
             (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta", "1e-9",
               "--X", str(10**30), "--Y", "10"),
              "Weyl sums capped at X <= 100000000"),
+            # checked before any run is expanded: one long run, or runs that add up
+            (("circle", "dft", "--set", "{long_run}"),
+             f"DFSET1 runs capped at {SET_FILE_LIMIT} members in total, got {10**10}"),
+            (("circle", "dft", "--set", "{many_runs}"),
+             f"DFSET1 runs capped at {SET_FILE_LIMIT} members in total, "
+             f"got {SET_FILE_LIMIT + 1}"),
         ],
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
              "modulus-1e300", "sieve-scan", "image-N-1e400", "trivial-N-1e400",
              "trivial-past-limit", "ruzsa-N", "audit-sqrt-total", "aux-audit-dmax",
-             "major-X-1e30"],
+             "major-X-1e30", "dfset-long-run", "dfset-run-total"],
     )
     def test_size_guards_exit_three_quickly(self, capsys, tmp_path, argv, message):
-        (tmp_path / "pair.txt").write_text("1\n2\n")
+        files = {name: tmp_path / name for name in ("pair", "long_run", "many_runs")}
+        files["pair"].write_text("1\n2\n")
+        files["long_run"].write_text(f"DFSET1 10\n1 {10**10}\n")
+        half = SET_FILE_LIMIT // 2
+        files["many_runs"].write_text(f"DFSET1 10\n1 {half}\n1 {half}\n5 1\n")
         start = time.perf_counter()
-        code = main([a.format(pair=tmp_path / "pair.txt") for a in argv])
+        code = main([a.format(**files) for a in argv])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -282,16 +317,25 @@ class TestExitCodes:
               "--X", "1000", "--Y", "10"), "cannot convert NaN to integer ratio"),
             (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta=inf",
               "--X", "1000", "--Y", "10"), "cannot convert Infinity to integer ratio"),
+            (("circle", "dft", "--set", "{negative_run}"),
+             "error: malformed DFSET1 run: '5 -3' (length < 1)\n"),
+            (("circle", "dft", "--set", "{three_fields}"), "error: malformed DFSET1 run"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
              "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0", "trivial-huge-k",
              "dft-empty-header", "dft-N0", "intersect-depth0", "aux-depth0", "aux-sextic-depth8",
-             "increment-q-past-L", "sieve-degree-1", "major-beta-nan", "major-beta-inf"],
+             "increment-q-past-L", "sieve-degree-1", "major-beta-nan", "major-beta-inf",
+             "dfset-negative-run", "dfset-three-fields"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         save_dfset(tmp_path / "empty.dfset", [], 0)
         save_dfset(tmp_path / "ten.dfset", [1, 2, 5], 10)
-        files = {name: tmp_path / f"{name}.dfset" for name in ("missing", "empty", "ten")}
+        (tmp_path / "negative_run.dfset").write_text("DFSET1 10\n5 -3\n")
+        (tmp_path / "three_fields.dfset").write_text("DFSET1 10\n1 2\n5 1 7\n")
+        files = {
+            name: tmp_path / f"{name}.dfset"
+            for name in ("missing", "empty", "ten", "negative_run", "three_fields")
+        }
         code = main([a.format(**files) for a in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

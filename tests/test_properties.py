@@ -4,8 +4,11 @@ roots mod p against evaluation and a plain-Python gcd(x^p - x, f) root
 count, the first simple root of a certificate against the full residue scan
 roots_mod, the singular-only root lifts, the sieve's gamma against its
 definition and its refusal of moduli past that scan, parse_poly as the
-inverse of str, the Weyl-sum phase against Fraction arithmetic, and the
-local content audit against a walk over every d."""
+inverse of str, the Weyl-sum phase against Fraction arithmetic, the
+root-table Weyl terms against exp of that phase, the local content audit
+against a walk over every d, the prefix-sum translate counts against an FFT
+correlation and a direct count, and the numpy DFSET1 writer and loader
+against per-line Python ones."""
 
 import math
 from fractions import Fraction
@@ -20,7 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ilab.arith import primes_up_to, v_p  # noqa: E402
 from ilab.auxiliary import AuxiliaryFamily, content_bound_audit  # noqa: E402
-from ilab.expsum import _phases  # noqa: E402
+from ilab.circle import correlation_counts  # noqa: E402
+from ilab.expsum import WEYL_CHUNK, WEYL_LIMIT, RationalPoint, _phases, _weyl_terms  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
     NoRootToDepth,
@@ -38,8 +42,11 @@ from ilab.poly import (  # noqa: E402
     shift_scale,
     square_free_decomposition,
 )
+from ilab.setio import load_set, runs_of, save_dfset  # noqa: E402
 from ilab.sieve import SieveProfile  # noqa: E402
 from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
+from test_circle import direct_correlation_counts, fft_correlation_counts  # noqa: E402
+from test_cli import per_line_load_set  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 PRIMES = primes_up_to(2000)
@@ -395,3 +402,155 @@ def test_local_content_audit_matches_the_per_d_walk(h, d_max, depth):
     assert audit_outcome(content_bound_audit, AuxiliaryFamily(h, depth), d_max) == audit_outcome(
         per_d_audit, AuxiliaryFamily(h, depth), d_max
     )
+
+
+@st.composite
+def weyl_table_case(draw):
+    """g, a reduced a/q, a beta whose denominator keeps Q = q den(beta) small,
+    and at least Q consecutive or strided int64 points n from a chunk offset
+    up to WEYL_LIMIT: the inputs on which _weyl_terms reads its root table."""
+    g = IntPolynomial(draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5)))
+    q = draw(st.integers(1, 60))
+    a = draw(st.sampled_from([x for x in range(q) if math.gcd(x, q) == 1]))
+    beta = draw(st.sampled_from([0.0, 0.0, 0.5, -0.25, 2.0**-6]))
+    Q = q * beta.as_integer_ratio()[1]
+    lo = draw(st.sampled_from([1, WEYL_CHUNK + 1, 10**7 - 3, WEYL_LIMIT - 20000]))
+    stride = draw(st.integers(1, 3))
+    count = draw(st.integers(Q, Q + 2000))
+    n = np.arange(lo, lo + stride * count, stride, dtype=np.int64)
+    return g, RationalPoint(a, q), beta, n
+
+
+@PROPERTY
+@given(weyl_table_case())
+@example((IntPolynomial([0, 0, 1]), RationalPoint(1, 3), 0.0,
+          np.arange(3 * 10**7 - 4096, 3 * 10**7 + 1, dtype=np.int64)))
+@example((IntPolynomial([0, 0, 0, 1]), RationalPoint(0, 1), 0.0, np.arange(1, 2, dtype=np.int64)))
+@example((IntPolynomial([5]), RationalPoint(7, 60), 0.5, np.arange(1, 121, dtype=np.int64)))
+def test_weyl_root_table_terms_are_the_phase_terms(case):
+    # the table path gives exp(2 pi i _phases) bit for bit
+    g, pt, beta, n = case
+    terms, mass = _weyl_terms(g, None, pt, beta, n)
+    want = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
+    assert terms.tobytes() == want.tobytes()
+    assert mass == len(n)
+
+
+@st.composite
+def correlation_case(draw):
+    """L, q (dividing L or not, up to L), X up to L // q, and B in [1, L]: a
+    seeded subset at a drawn density, all of [1, L], or a single member."""
+    L = draw(st.integers(1, 2000))
+    q = draw(st.one_of(st.integers(1, min(L, 40)), st.integers(1, L)))
+    X = draw(st.one_of(st.just(max(1, L // q)), st.integers(1, max(1, L // q))))
+    kind = draw(st.sampled_from(["sparse", "half", "dense", "full", "single"]))
+    if kind == "single":
+        return L, q, X, {draw(st.integers(1, L))}
+    density = {"sparse": 0.02, "half": 0.5, "dense": 0.95, "full": 1.0}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = set((np.flatnonzero(rng.random(L) < density) + 1).tolist())
+    return L, q, X, B or {L}
+
+
+@PROPERTY
+@given(correlation_case())
+@example((1000, 7, 1000 // 7, set(range(7, 1001, 7))))  # q does not divide L
+@example((97, 5, 97 // 5, {3, 50, 97}))
+@example((50, 3, 16, {50}))  # |B| = 1 on the 0 slot
+@example((1, 1, 1, {1}))
+def test_correlation_counts_match_fft_and_direct_counts(case):
+    L, q, X, B = case
+    got = correlation_counts(B, L, q, X).tolist()
+    assert got == fft_correlation_counts(B, L, q, X).tolist()
+    assert got == direct_correlation_counts(B, L, q, X).tolist()
+
+
+def reference_runs(members):
+    """(start, length) of the maximal runs, one member at a time."""
+    out = []
+    for m in sorted(set(members)):
+        if out and m == out[-1][0] + out[-1][1]:
+            out[-1] = (out[-1][0], out[-1][1] + 1)
+        else:
+            out.append((m, 1))
+    return out
+
+
+def load_outcome(path):
+    """(load_set's result, the per-line loader's), each a value or an
+    exception type."""
+    outs = []
+    for loader in (load_set, per_line_load_set):
+        try:
+            outs.append(loader(path))
+        except (ValueError, ResourceLimit) as exc:
+            outs.append(type(exc))
+    return outs
+
+
+@pytest.fixture(scope="module")
+def set_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sets")
+
+
+@PROPERTY
+@given(
+    members=st.one_of(
+        st.lists(st.integers(1, 400), max_size=80),  # unsorted, duplicates, empty
+        st.builds(lambda s, n: list(range(s, s + n)), st.integers(1, 10**6), st.integers(1, 300)),
+    ),
+    N=st.integers(0, 10**6),
+)
+@example(members=[], N=0)
+@example(members=[9, 3, 3, 4, 5, 1], N=10)
+def test_dfset_round_trip_matches_the_per_line_code(set_dir, members, N):
+    path = set_dir / "members.dfset"
+    save_dfset(path, members, N)
+    runs = reference_runs(members)
+    assert runs_of(members) == runs
+    assert path.read_text() == "".join(f"{s} {n}\n" for s, n in [("DFSET1", N)] + runs)
+    got, want = load_outcome(path)
+    assert got == want == (sorted(set(members)), N)
+
+
+PAD = st.text(" \t", max_size=2)
+RUN = st.builds("{} {}".format, st.integers(-20, 10**6), st.integers(1, 40))
+BAD_LINES = ["5 0", "5 -3", "7", "1 2 3", "a b", "1.5 2", "0x10 2", "1 #2", "4 2 # tail", "--1 2"]
+
+
+@st.composite
+def set_file(draw):
+    """A DFSET1 or plain set file: comments, blank lines and padding around
+    well-formed lines, sometimes one malformed line or header, and either line
+    ending."""
+    comment = st.builds("#{}".format, st.text("DFSET1 09#ab", max_size=8))
+    lines = draw(st.lists(st.one_of(comment, st.just("")), max_size=2))
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(
+            ["DFSET1 {}", "DFSET1 {}", "DFSET1 {}", "DFSET1", "DFSET1 12 13", "DFSET1 x",
+             "DFSET1X {}"])).format(draw(st.integers(0, 10**6))))
+        body = RUN
+    else:
+        body = st.builds(str, st.integers(-10, 10**6))  # plain
+    lines += draw(st.lists(st.one_of(body, body, comment, st.just("")), max_size=12))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    lines = [draw(PAD) + ln + draw(PAD) for ln in lines]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@PROPERTY
+@given(set_file())
+@example("DFSET1 10\n5 -3\n")
+@example("DFSET1 10\n1 2\n5 0\n")
+@example("# c\n\n  DFSET1 60\t\n 2 3\n#x\n\n10 1\n50 2\n4 1")
+@example("DFSET1 10\n1 2 # tail\n")
+@example("  \n# only comments\n")
+@example("3\n1\n# c\n2\n")
+def test_load_set_matches_the_per_line_loader(set_dir, text):
+    # the same members and N, or the same exception type
+    path = set_dir / "drawn.txt"
+    path.write_bytes(text.encode())
+    got, want = load_outcome(path)
+    assert got == want
