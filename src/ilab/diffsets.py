@@ -9,8 +9,12 @@ forbidden set F, or one shift-AND of A's bitset per forbidden value,
 costs O(N) bytes to build.  Constructions (greedy scan, multiples of a
 prime, base-q digit lifts of modular sets) are always re-verified.  Modular
 search looks for a maximum independent set in the Cayley graph of Z/q whose
-connection set is the nonzero k-th power residues, symmetrized; its
-exhaustive mode (q <= 32) proves the optimum.
+connection set is the nonzero k-th power residues, symmetrized.  The graph
+is vertex-transitive, so the branch-and-bound fixes vertex 0; a search that
+exhausts that tree proves the optimum (always in exhaustive mode, q <= 32,
+and within the default budget at q = 205).  Budgeted searches start from the
+best of 3000 seeded greedy passes, run side by side as one numpy pass over
+the vertex-order columns.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ GREEDY_CHUNK = 2**14
 # one searchsorted lookup of a difference costs about as much as 8 words of
 # big-int shift-AND (measured on difference-free sets with N <= 10^7)
 PAIR_COST_WORDS = 8
+# greedy passes of the modular search's warm start, and the rows of random
+# keys drawn and argsorted at a time
+WARM_RESTARTS = 3000
+PERM_SLICE = 500
 
 
 @dataclass(frozen=True)
@@ -313,22 +321,30 @@ def _max_independent(
     best_bits: int = 0,
     budget: float = math.inf,
     target: Optional[int] = None,
+    root: int = 0,
 ) -> tuple[int, int, bool]:
-    """Maximum independent set inside the vertex bitset cand, by iterative
-    depth-first branch-and-bound over the adjacency bitsets adj.
+    """Maximum independent set that contains the independent vertex bitset
+    root and otherwise lies in the vertex bitset cand (which must avoid root
+    and its neighbours), by iterative depth-first branch-and-bound over the
+    adjacency bitsets adj.
 
-    best_bits is an independent set to beat.  Every popped node counts; the
-    search gives up once the count exceeds budget, and stops at the first set
-    of size target.  Nodes are pruned by their candidate popcount and, every
-    16384 nodes, by a greedy clique cover.  It branches on the lowest
-    candidate vertex, include first (on a Cayley graph all degrees are equal,
-    so this is the degree order).  Returns (best_bits, nodes, exhausted).
+    best_bits is an independent set to beat.  Every popped node counts, and
+    a nonempty root counts as node 1; the search gives up once the count
+    exceeds budget, and stops at the first set of size target.  Nodes are
+    pruned by their candidate popcount and, every 16384 nodes, by a greedy
+    clique cover.  It branches on the lowest candidate vertex, include first
+    (on a Cayley graph all degrees are equal, so this is the degree order).
+    Returns (best_bits, nodes, exhausted).
     """
     best_size = best_bits.bit_count()
     if target is not None and best_size >= target:
         return best_bits, 0, False
-    nodes = 0
-    stack = [(0, 0, cand)]
+    # fixing root is the choice of one node, the parent of the first popped
+    # one: with root = {0} the nodes are numbered as in the full tree
+    nodes = 1 if root else 0
+    if nodes > budget:
+        return best_bits, nodes, False
+    stack = [(root.bit_count(), root, cand)]
     while stack:
         nodes += 1
         if nodes > budget:
@@ -354,6 +370,49 @@ def _max_independent(
     return best_bits, nodes, True
 
 
+def _random_orders(q: int, seed: int, rows: int = WARM_RESTARTS) -> np.ndarray:
+    """rows seeded random orders of range(q), as a (rows, q) int16 array.
+
+    Row i sorts the vertices by little-endian uint32 keys drawn from
+    random.Random(seed).randbytes, PERM_SLICE rows at a time; each key
+    carries its vertex in its low 16 bits, so keys are distinct, equal draws
+    keep vertex order, and any sort algorithm gives the same orders.
+    numpy.random is never imported."""
+    rng = random.Random(seed)
+    orders = np.empty((rows, q), dtype=np.int16)
+    vertex = np.arange(q, dtype=np.uint64)
+    for start in range(0, rows, PERM_SLICE):
+        n = min(PERM_SLICE, rows - start)
+        draws = np.frombuffer(rng.randbytes(4 * n * q), dtype="<u4").reshape(n, q)
+        orders[start : start + n] = np.argsort(draws.astype(np.uint64) << 16 | vertex, axis=1)
+    return orders
+
+
+def _greedy_passes(orders: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """One greedy pass per row of orders: admit each vertex in row order
+    unless an admitted vertex is adjacent to it.  closed is the (q, q) bool
+    adjacency with its diagonal set.  Returns the admitted sets as a
+    (rows, q) bool array, built one order column at a time."""
+    rows = np.arange(len(orders))
+    banned = np.zeros((len(orders), closed.shape[0]), dtype=bool)
+    admitted = np.zeros_like(banned)
+    for v in orders.T:
+        free = ~banned[rows, v]
+        r, u = rows[free], v[free]
+        admitted[r, u] = True
+        banned[r] |= closed[u]
+    return admitted
+
+
+def _pick_restart(sizes: np.ndarray, target: Optional[int]) -> int:
+    """The first restart to reach target, else the first of maximum size."""
+    if target is not None:
+        hit = sizes >= target
+        if hit.any():
+            return int(hit.argmax())
+    return int(sizes.argmax())
+
+
 def modular_search(
     q: int,
     k: int,
@@ -364,11 +423,17 @@ def modular_search(
 ) -> SearchResult:
     """Maximum independent set in the Cayley graph of (Z/q, symmetrized D).
 
-    mode "exhaustive" (q <= 32) runs branch-and-bound to completion and is
-    provably optimal.  mode "branch_bound" warm-starts with seeded greedy
-    restarts, then explores within the node budget; it stops early when
-    `target` is reached (best-effort semantics) and reports optimal=True only
-    if the tree was exhausted.  The returned set is always re-verified.
+    The graph is vertex-transitive, so some maximum independent set contains
+    0: branch-and-bound fixes vertex 0 and searches the non-neighbours of 0.
+    mode "exhaustive" (q <= 32) runs it to completion from {0} alone and is
+    provably optimal.  mode "branch_bound" warm-starts with WARM_RESTARTS
+    seeded greedy passes in random vertex order, run side by side in numpy;
+    the first pass of maximum size (or the first to reach `target`) is
+    translated to contain 0 and becomes the set to beat.  The search then
+    explores within the node budget, stops early when `target` is reached
+    (best-effort semantics) and reports optimal=True only if the tree was
+    exhausted.  upper_bound is then the size; otherwise it is a greedy
+    clique cover of the whole graph.  The returned set is always re-verified.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -377,33 +442,27 @@ def modular_search(
     if mode == "exhaustive" and q > 32:
         raise ValueError("exhaustive mode requires q <= 32")
     if q > SEARCH_Q_LIMIT:
-        # 3000 greedy restarts of O(q) each, and q adjacency bitsets of q bits
+        # WARM_RESTARTS greedy passes over q columns of (q, q) adjacency rows,
+        # and q adjacency bitsets of q bits
         raise ResourceLimit(f"modular search capped at q <= {SEARCH_Q_LIMIT} (got q = {q})")
     D = power_residues(q, k)
-    D_sym = D | {q - d for d in D}
-    adj = [_bits_from([(v + d) % q for d in D_sym]) for v in range(q)]
+    near = np.zeros(q, dtype=bool)  # 0 and its neighbours, D and -D
+    near[[0, *D, *(q - d for d in D)]] = True
+    idx = np.arange(q)
+    closed = near[(idx[None, :] - idx[:, None]) % q]  # closed[v, u]: u - v is near 0
+    packed = np.packbits(closed, axis=1, bitorder="little")
+    # adjacency bitsets: the rows of closed without the diagonal
+    adj = [int.from_bytes(row.tobytes(), "little") ^ (1 << v) for v, row in enumerate(packed)]
 
-    best: list[int] = []
+    best_bits = 0
     if mode != "exhaustive":
-        rng = random.Random(seed)
-        for _ in range(3000):
-            perm = list(range(q))
-            rng.shuffle(perm)
-            chosen: list[int] = []
-            banned = 0
-            for v in perm:
-                b = 1 << v
-                if not banned & b:
-                    chosen.append(v)
-                    banned |= b | adj[v]
-            if len(chosen) > len(best):
-                best = sorted(chosen)
-            if target is not None and len(best) >= target:
-                break
+        admitted = _greedy_passes(_random_orders(q, seed), closed)
+        warm = np.flatnonzero(admitted[_pick_restart(admitted.sum(axis=1), target)])
+        best_bits = _bits_from((warm - warm[0]).tolist())  # the translate through 0
 
     full = (1 << q) - 1
     best_bits, nodes, exhausted = _max_independent(
-        adj, full, _bits_from(best), budget, target
+        adj, full & ~(adj[0] | 1), best_bits, budget, target, root=1
     )
     members = tuple(sorted(v for v in range(q) if best_bits & (1 << v)))
     assert verify_modular(members, q, D), "search produced an invalid set"
@@ -412,7 +471,7 @@ def modular_search(
         size=len(members),
         optimal=exhausted,
         nodes=nodes,
-        upper_bound=_greedy_clique_cover_bound(full, adj),
+        upper_bound=len(members) if exhausted else _greedy_clique_cover_bound(full, adj),
     )
 
 

@@ -378,6 +378,18 @@ class TestSchema:
             payload = json.loads(out)
             validator.validate(payload)
 
+    def test_search_bound_is_the_size_once_exhausted(self, validator, capsys):
+        # q = 85 exhausts from vertex 0; a budget of 500 nodes at q = 205 does
+        # not, and reports the clique cover of the whole graph
+        for argv, optimal in ((("--q", "85"), True), (("--q", "205", "--budget", "500"), False)):
+            code, out = run_cli(capsys, "sets", "search", "--k", "2", *argv)
+            assert code == 0
+            payload = json.loads(out)
+            validator.validate(payload)
+            assert payload["optimal"] is optimal
+            assert (payload["upper_bound"] == payload["size"]) is optimal
+            assert payload["upper_bound"] >= payload["size"]
+
     def test_selftest_quick_validates(self, validator, capsys):
         # criterion 12 inside selftest exercises the warm-started search
         code, out = run_cli(capsys, "selftest", "--quick")

@@ -4,6 +4,8 @@ search, the Ruzsa lift, and density tables."""
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from ilab.diffsets import (
     _greedy_clique_cover_bound,
     _max_independent,
     _pairwise_hit,
+    _random_orders,
     _shift_and_hit,
     BITSET_LIMIT,
+    PERM_SLICE,
     SEARCH_Q_LIMIT,
     DiffFreeInstance,
     brute_force_verify,
@@ -34,6 +38,7 @@ from ilab.diffsets import (
 from ilab.arith import factorize
 from ilab.padic import ResourceLimit
 from ilab.poly import parse_poly
+from test_cli import subprocess_env
 
 X2 = parse_poly("x^2")
 X3 = parse_poly("x^3")
@@ -388,6 +393,28 @@ class TestMaxIndependent:
         # a start at the optimum is never replaced
         assert _max_independent(adj, full, best)[0] == best
 
+    def test_root_fixes_a_vertex(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            adj = random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+            v = rng.randrange(n)
+            root = 1 << v
+            cand = ((1 << n) - 1) & ~(adj[v] | root)
+            alpha_v = max(
+                bin(S).count("1")
+                for S in range(1 << n)
+                if S & root and is_independent(adj, S)
+            )
+            best, total, exhausted = _max_independent(adj, cand, root=root)
+            assert exhausted and best & root and is_independent(adj, best)
+            assert bin(best).count("1") == alpha_v
+            # the root is node 1, so budgets still end at budget + 1 nodes
+            for budget in range(min(total, 4)):
+                b, nodes, ex = _max_independent(adj, cand, budget=budget, root=root)
+                assert nodes == budget + 1 and not ex
+            assert _max_independent(adj, cand, budget=total, root=root) == (best, total, True)
+
 
 class TestModularSearch:
     def test_q5_exhaustive(self):
@@ -444,13 +471,13 @@ class TestModularSearch:
     @pytest.mark.parametrize(
         "q, budget, expected",
         [
-            (85, 2 * 10**5, (7, (10, 34, 48, 54, 66, 72, 77), 200001, False, 20)),
+            (85, 2 * 10**5, (7, (0, 11, 31, 33, 39, 44, 72), 39078, True, 7)),
             (
                 205,
                 500,
                 (
                     12,
-                    (0, 22, 24, 56, 79, 82, 93, 116, 135, 150, 158, 192),
+                    (0, 3, 14, 37, 56, 71, 79, 85, 113, 148, 150, 182),
                     501,
                     False,
                     32,
@@ -463,10 +490,92 @@ class TestModularSearch:
         res = modular_search(q, 2, budget=budget, seed=1)
         assert (res.size, res.best, res.nodes, res.optimal, res.upper_bound) == expected
 
+    def test_exhaustive_matches_the_full_tree(self):
+        # the search before vertex 0 was fixed: the whole Cayley graph as the
+        # candidate set, the empty set as the root
+        for q in range(2, 33):
+            for k in (2, 3, 4):
+                D = power_residues(q, k)
+                dsym = D | {q - d for d in D}
+                adj = [_bits_from([(v + d) % q for d in dsym]) for v in range(q)]
+                ref_bits, ref_nodes, exhausted = _max_independent(adj, (1 << q) - 1)
+                assert exhausted
+                res = modular_search(q, k, mode="exhaustive")
+                assert res.best == tuple(v for v in range(q) if ref_bits >> v & 1)
+                assert res.size == len(res.best) == res.upper_bound and res.optimal
+                assert res.nodes <= ref_nodes
+
+    @pytest.mark.parametrize("q, alpha", [(65, 7), (85, 7), (101, 5)])
+    def test_alpha_matches_a_frozenset_recursion(self, q, alpha):
+        squares = {x * x % q for x in range(1, q)} - {0}
+        forbidden = squares | {q - s for s in squares}
+
+        best = [1]
+
+        def grow(size: int, cand: frozenset) -> None:
+            # extend an independent set of `size` vertices by subsets of cand,
+            # its common non-neighbours, lowest vertex first; cut once cand
+            # cannot beat best
+            best[0] = max(best[0], size)
+            rest = cand
+            while rest and size + len(rest) > best[0]:
+                v = min(rest)
+                rest = rest - {v}
+                grow(size + 1, frozenset(u for u in rest if (u - v) % q not in forbidden))
+
+        # the graph is vertex-transitive, so fixing 0 loses nothing
+        grow(1, frozenset(u for u in range(1, q) if u not in forbidden))
+        assert best[0] == alpha
+        res = modular_search(q, 2)
+        assert (res.size, res.optimal, res.upper_bound) == (alpha, True, alpha)
+        assert verify_modular(res.best, q, power_residues(q, 2))
+
+    def test_q205_is_settled(self):
+        # Lewko's 12-set (EJC 2015) is optimal for the squares mod 205
+        res = modular_search(205, 2)
+        assert (res.size, res.optimal, res.upper_bound) == (12, True, 12)
+        assert verify_modular(res.best, 205, power_residues(205, 2))
+
     def test_q205_reaches_twelve(self):
         res = modular_search(205, 2, budget=10**9, seed=0, target=12)
         assert res.size >= 12
         assert verify_modular(res.best, 205, power_residues(205, 2))
+
+    @pytest.mark.parametrize("few_keys", [False, True])
+    def test_random_orders_sort_the_drawn_keys(self, monkeypatch, few_keys):
+        # each slice of rows draws 4 little-endian key bytes per vertex, and
+        # a row lists its vertices by (key, vertex); keys of 0/1 bytes tie
+        # often, and a tie must keep vertex order whatever the sort
+        if few_keys:
+
+            class FewKeys(random.Random):
+                def randbytes(self, n):
+                    return bytes(self.choices((0, 1), k=n))
+
+            monkeypatch.setattr(random, "Random", FewKeys)
+        for q, seed, rows in ((1, 0, 3), (7, 5, 4), (40, 11, 2), (3, 2, PERM_SLICE + 2)):
+            rng = random.Random(seed)
+            expected = []
+            while len(expected) < rows:
+                n = min(PERM_SLICE, rows - len(expected))
+                buf = rng.randbytes(4 * n * q)
+                for i in range(n):
+                    key = [int.from_bytes(buf[4 * (i * q + v) : 4 * (i * q + v + 1)], "little")
+                           for v in range(q)]
+                    expected.append(sorted(range(q), key=lambda v: (key[v], v)))
+            orders = _random_orders(q, seed, rows)
+            assert orders.dtype == np.int16 and orders.tolist() == expected
+
+    def test_search_never_imports_numpy_random(self):
+        script = (
+            "import sys, ilab.cli; from ilab.diffsets import modular_search; "
+            "modular_search(41, 2, budget=100); print('numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_q_guard(self):
         for q in (SEARCH_Q_LIMIT + 1, 5000, 10**6):

@@ -7,8 +7,9 @@ definition and its refusal of moduli past that scan, parse_poly as the
 inverse of str, the Weyl-sum phase against Fraction arithmetic, the
 root-table Weyl terms against exp of that phase, the local content audit
 against a walk over every d, the prefix-sum translate counts against an FFT
-correlation and a direct count, and the numpy DFSET1 writer and loader
-against per-line Python ones."""
+correlation and a direct count, the numpy DFSET1 writer and loader
+against per-line Python ones, and the modular search's numpy warm start
+against plain-Python greedy passes."""
 
 import math
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 from ilab.arith import primes_up_to, v_p  # noqa: E402
 from ilab.auxiliary import AuxiliaryFamily, content_bound_audit  # noqa: E402
 from ilab.circle import correlation_counts  # noqa: E402
+from ilab.diffsets import _greedy_passes, _pick_restart, _random_orders  # noqa: E402
 from ilab.expsum import WEYL_CHUNK, WEYL_LIMIT, RationalPoint, _phases, _weyl_terms  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
@@ -554,3 +556,67 @@ def test_load_set_matches_the_per_line_loader(set_dir, text):
     path.write_bytes(text.encode())
     got, want = load_outcome(path)
     assert got == want
+
+
+def plain_greedy_pass(order, closed):
+    """Admit each vertex of order unless an admitted one is adjacent to it,
+    one vertex at a time; closed[v][u] is adjacency with the diagonal set."""
+    admitted, banned = [], set()
+    for v in order:
+        if v not in banned:
+            admitted.append(v)
+            banned.update(u for u, near in enumerate(closed[v]) if near)
+    return sorted(admitted)
+
+
+def first_best_restart(sizes, target):
+    """The restart a sequential warm start keeps: it replaces its set only by
+    a strictly larger one and stops once that reaches target."""
+    best, pick = 0, None
+    for i, size in enumerate(sizes):
+        if size > best:
+            best, pick = size, i
+        if target is not None and best >= target:
+            break
+    return pick
+
+
+@st.composite
+def warm_start_case(draw):
+    """A graph on q <= 40 vertices (a Cayley graph of Z/q or a seeded random
+    symmetric one) as a closed bool adjacency, rows of vertex orders (drawn
+    permutations or _random_orders rows), and a target or None."""
+    q = draw(st.integers(1, 40))
+    idx = np.arange(q)
+    if draw(st.booleans()):
+        conn = draw(st.sets(st.integers(0, q - 1), max_size=q))
+        near = np.zeros(q, dtype=bool)
+        near[[0, *conn, *((-c) % q for c in conn)]] = True
+        closed = near[(idx[None, :] - idx[:, None]) % q]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.random((q, q)) < draw(st.sampled_from([0.05, 0.3, 0.7])), 1)
+        closed = upper | upper.T | np.eye(q, dtype=bool)
+    if draw(st.booleans()):
+        orders = np.array(
+            draw(st.lists(st.permutations(range(q)), min_size=1, max_size=12)), dtype=np.int16
+        ).reshape(-1, q)
+    else:
+        orders = _random_orders(q, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)))
+    target = draw(st.one_of(st.none(), st.integers(0, q + 1)))
+    return closed, orders, target
+
+
+@PROPERTY
+@given(warm_start_case(), st.lists(st.integers(1, 6), min_size=1, max_size=12))
+@example((np.ones((1, 1), dtype=bool), np.zeros((3, 1), dtype=np.int16), None), [1])
+def test_warm_start_rows_are_plain_greedy_passes(case, drawn_sizes):
+    closed, orders, target = case
+    admitted = _greedy_passes(orders, closed)
+    expected = [plain_greedy_pass(row, closed.tolist()) for row in orders.tolist()]
+    assert [np.flatnonzero(row).tolist() for row in admitted] == expected
+    sizes = [len(row) for row in expected]
+    assert _pick_restart(admitted.sum(axis=1), target) == first_best_restart(sizes, target)
+    # the selection rule alone, on sizes with more ties and more targets hit
+    got = _pick_restart(np.array(drawn_sizes), target)
+    assert got == first_best_restart(drawn_sizes, target)
