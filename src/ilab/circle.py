@@ -119,6 +119,8 @@ def arc_mass(
 ) -> float:
     """sum over t in M_q(N, K) of |hat F(t)|^2 (reduced fractions, t != 0),
     or over M'_q(N, K) = union of M_r over r | q when not reduced_only."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     if q > fd.N:
         raise ValueError("q must not exceed N")
     ts = arc_frequencies(fd.N, K, q, reduced_only)
@@ -196,7 +198,7 @@ def extract_progression(
     wrapped translate into at most two genuine progressions), otherwise use
     the positive-mass branch over the non-wrapping translates.  The returned
     progression is re-verified by direct counting before being returned.
-    Raises ValueError for q > L.
+    Raises ValueError for q outside [1, L].
     """
     if not B:
         return NoIncrement("empty set")

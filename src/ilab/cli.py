@@ -150,9 +150,16 @@ def cmd_sieve_count(args) -> str:
     return _csv([row], fields)
 
 
+def _point(args) -> RationalPoint:
+    """The reduced point a/q of -a and -q, a taken mod q once q is valid."""
+    if args.q < 1:
+        raise ValueError(f"q must be >= 1, got {args.q}")
+    return RationalPoint(args.a % args.q, args.q)
+
+
 def cmd_expsum_complete(args) -> dict:
     g = parse_poly(args.poly)
-    pt = RationalPoint(args.a % args.q, args.q)
+    pt = _point(args)
     sieve = None if args.sieve is None else SieveProfile.build(g, args.sieve)
     res = complete_sum(g, pt, sieve=sieve)
     return {
@@ -180,7 +187,7 @@ def cmd_expsum_audit_sqrt(args) -> dict | str:
 def cmd_expsum_major(args) -> dict:
     g = parse_poly(args.poly)
     profile = SieveProfile.build(g, args.Y)
-    pt = RationalPoint(args.a % args.q, args.q)
+    pt = _point(args)
     res = major_arc_asymptotic(g, pt, args.beta, args.X, profile)
     return {
         "poly": g.to_json(),

@@ -432,13 +432,16 @@ def modular_search(
     translated to contain 0 and becomes the set to beat.  The search then
     explores within the node budget, stops early when `target` is reached
     (best-effort semantics) and reports optimal=True only if the tree was
-    exhausted.  upper_bound is then the size; otherwise it is a greedy
-    clique cover of the whole graph.  The returned set is always re-verified.
+    exhausted.  upper_bound is then the size; otherwise it is the smaller of
+    two greedy clique covers: of the whole graph, and of the non-neighbours
+    of 0 plus one for 0 itself.  The returned set is always re-verified.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if target is not None and target < 1:
+        raise ValueError(f"target must be >= 1, got {target}")
     if mode == "exhaustive" and q > 32:
         raise ValueError("exhaustive mode requires q <= 32")
     if q > SEARCH_Q_LIMIT:
@@ -461,17 +464,18 @@ def modular_search(
         best_bits = _bits_from((warm - warm[0]).tolist())  # the translate through 0
 
     full = (1 << q) - 1
-    best_bits, nodes, exhausted = _max_independent(
-        adj, full & ~(adj[0] | 1), best_bits, budget, target, root=1
-    )
+    rest = full & ~(adj[0] | 1)  # the non-neighbours of 0
+    best_bits, nodes, exhausted = _max_independent(adj, rest, best_bits, budget, target, root=1)
     members = tuple(sorted(v for v in range(q) if best_bits & (1 << v)))
     assert verify_modular(members, q, D), "search produced an invalid set"
+    cover = _greedy_clique_cover_bound
     return SearchResult(
         best=members,
         size=len(members),
         optimal=exhausted,
         nodes=nodes,
-        upper_bound=len(members) if exhausted else _greedy_clique_cover_bound(full, adj),
+        # a maximum set through 0 is 0 plus an independent set of rest
+        upper_bound=len(members) if exhausted else min(cover(full, adj), 1 + cover(rest, adj)),
     )
 
 

@@ -6,21 +6,20 @@ sums with exact phase arithmetic, the major-arc asymptotic with its
 closed-form oscillatory integral, minor-arc ratio audits, and empirical
 moment sums of the normalized inner-iteration Weyl sum.
 
-Phase policy: complete sums map the exact class g(s)*a mod q through a
-q-th root-of-unity table.  A Weyl-sum phase at alpha = a/q + beta = A/Q is
-the fractional part of g(n)*alpha computed as one exact fraction and
-rounded once (_phases); beta is the dyadic rational its double is.  When a
-chunk of Weyl terms holds at least Q terms (beta = 0 and small q in
-practice), the term for the exact class k = g(n)*A mod Q is read from the
-table e(k/Q), built with the same float operations as exp(2 pi i _phases),
-so the terms are the same bits either way.
+Phase policy: every exponential is exp(2 pi i f) of one fraction f computed
+exactly and rounded once; beta is the dyadic rational its double is.  A
+Weyl-sum phase at alpha = a/q + beta = A/Q is frac(g(n)*alpha) (_phases).
+The table e(k/Q) (_roots) makes the same float operations on f = k/Q, so a
+complete sum mod q, and a chunk of at least Q Weyl terms, reads the term of
+the exact class k from it: the same bits as exp(2 pi i _phases).  The
+oscillatory integral is e(m - round(m)) at the exact midpoint phase m of its
+ends times a real factor, an exact fraction rounded once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -71,14 +70,15 @@ class ExpSumResult:
 
 def _pair_tree(sums: list[complex]) -> complex:
     """Sum the block sums pairwise, level by level; an odd last one moves up."""
-    if not sums:
-        return 0j
     while len(sums) > 1:
-        nxt = [sums[i] + sums[i + 1] for i in range(0, len(sums) - 1, 2)]
-        if len(sums) % 2:
-            nxt.append(sums[-1])
-        sums = nxt
-    return sums[0]
+        sums = [sum(sums[i + 1 : i + 2], sums[i]) for i in range(0, len(sums), 2)]
+    return sums[0] if sums else 0j
+
+
+def _roots(Q: int) -> np.ndarray:
+    """e(k/Q) for k in [0, Q): exp(2 pi i f) of the correctly rounded
+    f = k/Q, the same floats as exp(2 pi i _phases) at the class k."""
+    return np.exp(2j * np.pi * (np.arange(Q) / Q))
 
 
 def _phase_table(
@@ -90,7 +90,7 @@ def _phase_table(
         raise ResourceLimit(f"complete sums capped at q <= {COMPLETE_SUM_LIMIT}")
     mask = np.ones(q, dtype=bool) if sieve is None else sieve.mask(q, q)
     classes = values_mod(g, np.arange(q, dtype=np.int64), q)
-    return np.bincount(classes[mask], minlength=q), np.exp(2j * np.pi * np.arange(q) / q)
+    return np.bincount(classes[mask], minlength=q), _roots(q)
 
 
 def _phase_sum(hist: np.ndarray, roots: np.ndarray, pt: RationalPoint) -> ExpSumResult:
@@ -229,23 +229,18 @@ def _weyl_terms(
     n: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """The terms [g'(n)] e(g(n) (a/q + beta)) at the int64 integers n, and
-    their mass.  With a/q + beta = A/Q and Q <= len(n), e(k/Q) comes from a
-    table indexed by the exact class g(n) A mod Q: the same floats as
-    exp(2 pi i _phases), from at most as many exponentials (and Q <= len(n)
-    <= WEYL_CHUNK keeps the class inside int64 Horner)."""
+    their mass.  With a/q + beta = A/Q and Q <= len(n), the terms are read
+    from _roots(Q) at the exact classes g(n) A mod Q, from at most as many
+    exponentials (and Q <= len(n) <= WEYL_CHUNK keeps them in int64 Horner)."""
     A, Q = _exact_alpha(pt.a, pt.q, beta)
     if Q <= len(n):
-        roots = np.exp(2j * np.pi * (np.arange(Q) / Q))
-        terms = roots[values_mod(g, n, Q) * (A % Q) % Q]
+        terms = _roots(Q)[values_mod(g, n, Q) * (A % Q) % Q]
     else:
         terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
     if dg is None:
         return terms, float(len(n))
     # derivative values fit a double exactly through 2^53; desk scale
-    acc = np.zeros(len(n), dtype=np.float64)
-    nf = n.astype(np.float64)
-    for c in reversed(dg.coeffs):
-        acc = acc * nf + c
+    acc = dg(n.astype(np.float64))
     return terms * acc, float(np.sum(np.abs(acc)))
 
 
@@ -295,27 +290,21 @@ def weyl_sum(
 
 
 def oscillatory_integral(g: IntPolynomial, beta: float, X: int) -> complex:
-    """integral_0^X g'(x) e(g(x) beta) dx in closed form.
+    """integral_0^X g'(x) e(g(x) beta) dx in closed form, for every beta.
 
-    Substituting u = g(x) gives (e(g(X) beta) - e(g(0) beta)) / (2 pi i beta)
-    for beta != 0 and g(X) - g(0) for beta = 0; exact regardless of the
-    monotonicity of g.  For subnormal beta, 1 / (2 pi beta) overflows, so the
-    integral is taken as (g(X) - g(0)) e(m beta) sin(pi t) / (pi t), with m the
-    midpoint of g(0), g(X) and t = (g(X) - g(0)) beta exact until rounded;
-    its beta -> 0 limit is g(X) - g(0).
+    With u0 = g(0), u1 = g(X), t = beta (u1 - u0) and m = beta (u0 + u1) / 2
+    as exact fractions, u = g(x) gives (u1 - u0) e(m) sin(pi t) / (pi t)
+    whatever the monotonicity of g.  r = t - 2 round(t/2) has |r| <= 1 and
+    sin(pi r) = sin(pi t); with y = pi float(r) the real factor is
+    (u1 - u0) (r/t) (sin y / y), rounded once (u1 - u0 at t = 0).
     """
-    if beta == 0.0:
-        return complex(g(X) - g(0))
-    if abs(beta) < sys.float_info.min:
-        u0, u1 = g(0), g(X)
-        b = Fraction(beta)
-        y = math.pi * float(b * (u1 - u0))
-        mid = b * (u0 + u1) / 2
-        turn = np.exp(2j * np.pi * float(mid - round(mid)))
-        return complex(u1 - u0) * turn * (math.sin(y) / y if y else 1.0)
-    ends = np.array([0, X], dtype=object)
-    e0, e1 = (np.exp(2j * np.pi * t) for t in _phases(g, 0, 1, beta, ends).tolist())
-    return (e1 - e0) / (2j * np.pi * beta)
+    u0, u1 = g(0), g(X)
+    b = Fraction(beta)
+    t, m = b * (u1 - u0), b * (u0 + u1) / 2
+    r = t - 2 * round(t / 2)
+    y = math.pi * float(r)
+    scale = (u1 - u0) * (r / t if t else 1) * Fraction(math.sin(y) / y if y else 1.0)
+    return complex(float(scale) * np.exp(2j * np.pi * float(m - round(m))))
 
 
 @dataclass
@@ -382,6 +371,11 @@ class MinorArcAudit:
     informative: bool  # the hypothesis regime is meaningful (q > 1, Z > Y)
     nontrivial: bool  # the constant-1 bound actually beats the trivial X
 
+    @classmethod
+    def of(cls, bound: float, actual: float, X: int, informative: bool) -> "MinorArcAudit":
+        """The audit of |sum| = actual against bound; X is the trivial bound."""
+        return cls(bound, actual, actual / bound if bound > 0 else math.inf, informative, bound < X)
+
 
 def _weyl_inner(g: IntPolynomial, q: int, X: int, Z: float) -> float:
     """(Weyl factor)^(2^k) of the minor-arc envelopes:
@@ -402,13 +396,7 @@ def weyl_minor_bound(g: IntPolynomial, pt: RationalPoint, X: int) -> MinorArcAud
     """
     bound = X * _weyl_inner(g, pt.q, X, 1) ** (2.0**-g.degree)
     actual = abs(weyl_sum(g, pt, X).value)
-    return MinorArcAudit(
-        bound=bound,
-        actual_abs=actual,
-        ratio=actual / bound if bound > 0 else math.inf,
-        informative=pt.q > 1,
-        nontrivial=bound < X,
-    )
+    return MinorArcAudit.of(bound, actual, X, informative=pt.q > 1)
 
 
 def sieved_minor_audit(
@@ -427,13 +415,7 @@ def sieved_minor_audit(
         * (math.exp(-math.log(Z) / math.log(Y)) + inner ** (2.0**-k))
     )
     actual = abs(weyl_sum(g, pt, X, SieveProfile.build(g, Y)).value)
-    return MinorArcAudit(
-        bound=bound,
-        actual_abs=actual,
-        ratio=actual / bound if bound > 0 else math.inf,
-        informative=pt.q > 1 and Z > Y,
-        nontrivial=bound < X,
-    )
+    return MinorArcAudit.of(bound, actual, X, informative=pt.q > 1 and Z > Y)
 
 
 def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float:
@@ -445,6 +427,8 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be a positive even integer")
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
     if L > MOMENT_LIMIT:
         raise ResourceLimit(f"moment sums capped at L <= {MOMENT_LIMIT}")
     k = g.degree

@@ -36,26 +36,28 @@ class NoRootToDepth(ValueError):
     """No certifiable p-adic root was found within the search depth."""
 
 
-def values_mod(p: IntPolynomial, s: np.ndarray, q: int) -> np.ndarray:
-    """p(s) mod q elementwise, by int64 Horner; needs q*q < 2**63.  s holds
+def values_mod(p: IntPolynomial, s: np.ndarray, q: int | np.ndarray) -> np.ndarray:
+    """p(s) mod q elementwise, by int64 Horner.  q is one modulus or an int64
+    array of moduli, one per element of s; needs max(q)^2 < 2**63.  s holds
     int64 values or Python ints of any size (an object array).
 
     Every term is non-negative, so the accumulator is reduced only when the
-    next step could pass 2**63 (tracked by an exact bound): small q takes
+    next step could pass 2**63 (an exact bound in max(q)): small moduli take
     several Horner steps per modulo.
     """
-    if q * q >= 2**63:
-        raise ValueError(f"int64 Horner needs q*q < 2**63, got q = {q}")
+    top = int(q.max()) if isinstance(q, np.ndarray) else int(q)
+    if top * top >= 2**63:
+        raise ValueError(f"int64 Horner needs q*q < 2**63, got q = {top}")
     sq = np.asarray(s % q, dtype=np.int64)
     acc = np.zeros(len(s), dtype=np.int64)
     bound = 0  # acc <= bound elementwise
     for c in reversed(p.coeffs):
-        if (bound + 1) * (q - 1) >= 2**63:
+        if (bound + 1) * (top - 1) >= 2**63:
             acc %= q
-            bound = q - 1
+            bound = top - 1
         acc *= sq
-        acc += c % q
-        bound = (bound + 1) * (q - 1)
+        acc += _residues(c, q)
+        bound = (bound + 1) * (top - 1)
     acc %= q
     return acc
 
@@ -218,30 +220,29 @@ def _split_roots(g: np.ndarray, p: np.ndarray) -> list[list[int]]:
     return [sorted(r) for r in roots]
 
 
-def _residues(c: int, p: np.ndarray) -> np.ndarray:
-    """The integer c mod each lane's prime."""
+def _residues(c: int, p: int | np.ndarray):
+    """The integer c mod p, elementwise when p is an int64 array."""
+    if not isinstance(p, np.ndarray):
+        return c % int(p)
     if abs(c) < 2**62:
         return np.int64(c) % p
-    return np.array([c % int(q) for q in p], dtype=np.int64)
+    moduli, where = np.unique(p, return_inverse=True)
+    return np.array([c % int(m) for m in moduli], dtype=np.int64)[where]
 
 
 def _scan_roots(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]]:
-    """Sorted roots of f mod every prime in primes by int64 Horner passes
-    over all their residues at once, about SCAN_BLOCK residues (or one
-    prime) per pass."""
+    """Sorted roots of f mod every prime in primes by values_mod passes over
+    all their residues at once, each against its own prime, about
+    SCAN_BLOCK residues (or one prime) per pass."""
     out: dict[int, list[int]] = {}
     ends = np.cumsum(primes)
     start = 0
     while start < len(primes):
         stop = start + int(np.searchsorted(ends[start:], ends[start] + SCAN_BLOCK))
         sizes = np.array(primes[start:stop], dtype=np.int64)
-        q = np.repeat(sizes, sizes)
         offsets = np.cumsum(sizes) - sizes
-        s = np.arange(len(q), dtype=np.int64) - np.repeat(offsets, sizes)
-        acc = np.zeros(len(q), dtype=np.int64)
-        for c in reversed(f.coeffs):
-            acc = (acc * s + np.repeat(_residues(c, sizes), sizes)) % q
-        hits = np.flatnonzero(acc == 0)
+        s = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(offsets, sizes)
+        hits = np.flatnonzero(values_mod(f, s, np.repeat(sizes, sizes)) == 0)
         split = np.split(s[hits], np.searchsorted(hits, offsets[1:]))
         out.update((p, r.tolist()) for p, r in zip(primes[start:stop], split))
         start = stop

@@ -208,6 +208,17 @@ class TestExitCodes:
         for key in ("main_re", "main_im", "actual_re", "actual_im", "abs_err"):
             assert payload[key] == pytest.approx(at_zero[key], rel=1e-12), key
 
+    def test_small_turn_major_arc_keeps_its_imaginary_part(self, capsys):
+        # t = beta (g(X) - g(0)) = 1e-9: the main term's imaginary part is
+        # about pi 1e-6 (60-digit mpmath: 3.1415926535897932e-06), not 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "expsum", "major", "--poly", "x^3", "-a", "0", "-q",
+                                "1", "--beta", "1e-12", "--X", "10", "--Y", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["main_re"] == 1000.0
+        assert payload["main_im"] == pytest.approx(3.1415926535897932e-06, rel=1e-15)
+
     def test_ruzsa_large_q_exits_zero_quickly(self, capsys):
         # B's differences are tested by Euler's criterion at each p | q, not
         # against a listed set of about q residues
@@ -320,12 +331,28 @@ class TestExitCodes:
             (("circle", "dft", "--set", "{negative_run}"),
              "error: malformed DFSET1 run: '5 -3' (length < 1)\n"),
             (("circle", "dft", "--set", "{three_fields}"), "error: malformed DFSET1 run"),
+            (("sets", "search", "--q", "5", "--k", "2", "--mode", "exhaustive", "--target", "0"),
+             "error: target must be >= 1, got 0\n"),
+            (("sets", "search", "--q", "5", "--k", "2", "--target", "-3"),
+             "error: target must be >= 1, got -3\n"),
+            (("circle", "increment", "--set", "{ten}", "--q", "0", "--K", "1", "--theta", "0.5"),
+             "error: q must be >= 1, got 0\n"),
+            (("circle", "increment", "--set", "{ten}", "--q", "-2", "--K", "1", "--theta", "0.5"),
+             "error: q must be >= 1, got -2\n"),
+            (("expsum", "complete", "--poly", "x^2", "-a", "1", "-q", "0"),
+             "error: q must be >= 1, got 0\n"),
+            (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "0", "--X", "10", "--Y", "0"),
+             "error: q must be >= 1, got 0\n"),
+            (("expsum", "moment", "--poly", "x^2", "--L", "0", "--m", "2", "--Y", "10"),
+             "error: L must be >= 1, got 0\n"),
         ],
         ids=["missing-set", "search-q0", "search-q1", "search-k0", "greedy-N0",
              "ruzsa-N0", "unreduced-a-q", "ruzsa-q1", "trivial-k-1", "trivial-k0", "trivial-huge-k",
              "dft-empty-header", "dft-N0", "intersect-depth0", "aux-depth0", "aux-sextic-depth8",
              "increment-q-past-L", "sieve-degree-1", "major-beta-nan", "major-beta-inf",
-             "dfset-negative-run", "dfset-three-fields"],
+             "dfset-negative-run", "dfset-three-fields", "search-target0-exhaustive",
+             "search-target-negative", "increment-q0", "increment-q-negative", "complete-q0",
+             "major-q0", "moment-L0"],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv, needle):
         save_dfset(tmp_path / "empty.dfset", [], 0)
@@ -380,7 +407,7 @@ class TestSchema:
 
     def test_search_bound_is_the_size_once_exhausted(self, validator, capsys):
         # q = 85 exhausts from vertex 0; a budget of 500 nodes at q = 205 does
-        # not, and reports the clique cover of the whole graph
+        # not, and reports 1 + the clique cover of the non-neighbours of 0
         for argv, optimal in ((("--q", "85"), True), (("--q", "205", "--budget", "500"), False)):
             code, out = run_cli(capsys, "sets", "search", "--k", "2", *argv)
             assert code == 0

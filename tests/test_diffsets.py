@@ -480,7 +480,7 @@ class TestModularSearch:
                     (0, 3, 14, 37, 56, 71, 79, 85, 113, 148, 150, 182),
                     501,
                     False,
-                    32,
+                    23,
                 ),
             ),
         ],
@@ -529,6 +529,25 @@ class TestModularSearch:
         res = modular_search(q, 2)
         assert (res.size, res.optimal, res.upper_bound) == (alpha, True, alpha)
         assert verify_modular(res.best, q, power_residues(q, 2))
+
+    def test_budgeted_bound_holds_alpha(self):
+        # every q <= 60 exhausts at the default budget, which gives alpha; a
+        # search cut after its root must still report a bound >= alpha
+        for q in range(2, 61):
+            for k in (2, 3, 4):
+                full = modular_search(q, k)
+                assert full.optimal and full.upper_bound == full.size
+                cut = modular_search(q, k, budget=1)
+                assert cut.upper_bound >= full.size, (q, k)
+                assert cut.optimal or cut.nodes == 2
+
+    def test_budgeted_bound_is_the_smaller_cover(self):
+        # 1 + the clique cover of the non-neighbours of 0 beats the cover of
+        # the whole graph at k = 2 (32 at q = 205); at q = 112 and 176, k = 4,
+        # the whole graph's cover (24 and 32) beats it (29 and 36)
+        cases = [(205, 2), (221, 2), (265, 2), (112, 4), (176, 4)]
+        bounds = {(q, k): modular_search(q, k, budget=1).upper_bound for q, k in cases}
+        assert bounds == {(205, 2): 23, (221, 2): 28, (265, 2): 31, (112, 4): 24, (176, 4): 32}
 
     def test_q205_is_settled(self):
         # Lewko's 12-set (EJC 2015) is optimal for the squares mod 205

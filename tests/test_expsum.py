@@ -22,7 +22,9 @@ from ilab.expsum import (
     ResourceLimit,
     complete_sum,
     crt_split,
+    _phase_table,
     _phases,
+    _weyl_terms,
     major_arc_asymptotic,
     moment_sum,
     oscillatory_integral,
@@ -203,7 +205,7 @@ class TestSqrtCancelAudit:
             units = [a for a in range(q) if math.gcd(a, q) == 1]
             sample = units if len(units) <= 10 else rng.sample(units, 10)
             classes = values_mod(g, np.arange(q, dtype=np.int64), q)[profile.mask(q, q)]
-            roots = np.exp(2j * np.pi * np.arange(q) / q)
+            roots = np.exp(2j * np.pi * (np.arange(q) / q))
             for a in sorted(sample):
                 counts = np.bincount(classes * a % q, minlength=q)
                 expected.append((q, a, abs(complex(np.dot(counts, roots)))))
@@ -272,6 +274,19 @@ class TestWeylSum:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
             weyl_sum(X2, RationalPoint(0, 1), 10**8 + 1)
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("Q", [1, 2, 3, 7, 97, 1000, 4096, 65537])
+    def test_complete_sum_and_weyl_tables_are_the_same_bytes(self, Q):
+        # g = x at 1/Q reads the whole table in order; the direct route
+        # exp(2 pi i _phases) must give the same bytes too
+        x = IntPolynomial([0, 1])
+        n = np.arange(Q, dtype=np.int64)
+        _, table = _phase_table(x, Q, None)
+        terms, _ = _weyl_terms(x, None, RationalPoint(1 % Q, Q), 0.0, n)
+        direct = np.exp(2j * np.pi * _phases(x, 1 % Q, Q, 0.0, n))
+        assert table.tobytes() == terms.tobytes() == direct.tobytes()
 
 
 def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
@@ -411,6 +426,51 @@ class TestOscillatoryIntegral:
                 assert abs(v.imag) <= 4 * abs(beta) * abs(rng) * (abs(g(0)) + abs(g(X))) + 1e-300
             # continuous with the closed form at the smallest normal beta
             assert oscillatory_integral(g, tiny, X) == pytest.approx(rng, rel=1e-15)
+
+
+def mpmath_integral(g, beta, X):
+    """(e(g(X) beta) - e(g(0) beta)) / (2 pi i beta) in mpmath, at a working
+    precision that covers the cancellation in the difference."""
+    mpmath = pytest.importorskip("mpmath")
+    u0, u1 = g(0), g(X)
+    if beta == 0.0:
+        return complex(u1 - u0)
+    t = Fraction(beta) * (u1 - u0)
+    lost = max(0, -math.floor(math.log2(abs(t)))) if t else 0
+    with mpmath.workprec(256 + lost + 2 * max(abs(u0), abs(u1)).bit_length()):
+        b = mpmath.mpf(beta)  # exact: the double's dyadic rational
+        return complex(
+            (mpmath.expjpi(2 * b * u1) - mpmath.expjpi(2 * b * u0)) / (2j * mpmath.pi * b)
+        )
+
+
+ORACLE_POLYS = ["x^2", "x^3", "3x^4-2x+5", "-2x^3+7x^2+x-4"]
+ORACLE_BETAS = [5e-324, -1e-310, 1e-300, 1e-200, 1e-30, 1e-12, -1e-9, 3e-6, 0.37, 0.5]
+
+
+class TestOscillatoryIntegralOracle:
+    @pytest.mark.parametrize("text", ORACLE_POLYS)
+    def test_matches_mpmath_to_the_envelope(self, text):
+        # 4 polynomials x 10 betas x 4 ranges; the error is measured against
+        # the van der Corput envelope min(|g(X) - g(0)|, 1 / (pi |beta|))
+        g = parse_poly(text)
+        for beta in ORACLE_BETAS:
+            for X in (10, 10**3, 10**5, 10**7):
+                env = min(abs(g(X) - g(0)), 1 / (math.pi * abs(Fraction(beta))))
+                err = abs(oscillatory_integral(g, beta, X) - mpmath_integral(g, beta, X))
+                assert err <= 1e-14 * float(env), (beta, X)
+
+    def test_small_turn_keeps_its_imaginary_part(self):
+        # t = beta (g(X) - g(0)) = 1e-9: e(g(X) beta) - e(g(0) beta) cancels
+        # to a few digits, the sinc form does not
+        v = oscillatory_integral(X3, 1e-12, 10)
+        assert v.imag == pytest.approx(mpmath_integral(X3, 1e-12, 10).imag, rel=1e-15)
+        assert v.imag == pytest.approx(3.1415926535897932e-06, rel=1e-15)
+
+    def test_no_range_is_zero(self):
+        g = parse_poly("x^2-4x")  # g(4) = g(0)
+        for beta in (0.0, 5e-324, 0.3):
+            assert oscillatory_integral(g, beta, 4) == 0
 
 
 class TestMajorArc:

@@ -65,6 +65,20 @@ class TestValuesMod:
             got = values_mod(g, s, q)
             assert got.tolist() == [g.eval_mod(int(t), q) for t in s]
 
+    def test_array_moduli_match_eval_mod(self):
+        # one modulus per element: the lazy reduction runs on the bound of
+        # max(q), and coefficients past 2**62 are reduced per distinct modulus
+        # (or once, for a single modulus)
+        rng = random.Random(121)
+        for _ in range(60):
+            g = random_poly(rng, deg_max=6, coeff=rng.choice([10**6, 10**30]))
+            top = rng.choice([2, 97, 10**6 + 3, rng.randint(1, 3 * 10**9)])
+            q = np.array([rng.randint(1, top) for _ in range(50)] + [top, 1, 1], dtype=np.int64)
+            s = np.array([rng.randint(-10**12, 10**12) for _ in range(50)] + [0, 1, -1])
+            got = values_mod(g, s, q)
+            assert got.tolist() == [g.eval_mod(int(t), int(m)) for t, m in zip(s, q)]
+            assert values_mod(g, s, top).tolist() == [g.eval_mod(int(t), top) for t in s]
+
     def test_lazy_reduction_at_the_int64_edge(self):
         # coefficients and inputs at q - 1 drive the accumulator to its
         # bound; q^e just below and above 2^63 puts a reduction at the edge
@@ -83,6 +97,8 @@ class TestValuesMod:
         assert values_mod(X2, s, q).tolist() == [t * t % q for t in range(5)]
         with pytest.raises(ValueError):
             values_mod(X2, s, q + 1)
+        with pytest.raises(ValueError):
+            values_mod(X2, s, np.array([2, 3, q + 1, 5, 7], dtype=np.int64))
 
 
 class TestRootsMod:
