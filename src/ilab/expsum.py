@@ -11,7 +11,10 @@ exactly and rounded once; beta is the dyadic rational its double is.  A
 Weyl-sum phase at alpha = a/q + beta = A/Q is frac(g(n)*alpha) (_phases).
 The table e(k/Q) (_roots) makes the same float operations on f = k/Q, so a
 complete sum mod q, and a chunk of at least Q Weyl terms, reads the term of
-the exact class k from it: the same bits as exp(2 pi i _phases).  The
+the exact class k from it: the same bits as exp(2 pi i _phases).  A beta = 0
+Weyl sum whose period L = lcm(q, sieve wheel) X covers is
+sum_k C_k e(k/q), the exact integer class weights C_k summed over one
+period (_periodic_weyl_sum), each rounded once.  The
 oscillatory integral is e(m - round(m)) at the exact midpoint phase m of its
 ends times a real factor, an exact fraction rounded once.
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 from .arith import factorize, integer_nth_root, omega
 from .padic import ResourceLimit, values_mod
-from .poly import IntPolynomial, content
+from .poly import ZERO, IntPolynomial, content, shift_scale
 from .sieve import SieveProfile
 
 COMPLETE_SUM_LIMIT = 4 * 10**6
@@ -38,6 +41,12 @@ MOMENT_LIMIT = 2 * 10**6
 WEYL_CHUNK = 2**18
 DEFAULT_BLOCK = 4096
 AUDIT_SAMPLES = 10
+# weyl_sum sums one period L at beta = 0 once PERIOD_COST * L + PERIOD_OVERHEAD
+# <= X: a residue of the period costs about one streamed term, plus a fixed
+# cost near 2000 streamed terms (timed on a 2-core box)
+PERIOD_COST = 2
+PERIOD_OVERHEAD = 2048
+ONE = IntPolynomial([1])
 
 
 @dataclass(frozen=True)
@@ -93,18 +102,6 @@ def _phase_table(
     return np.bincount(classes[mask], minlength=q), _roots(q)
 
 
-def _phase_sum(hist: np.ndarray, roots: np.ndarray, pt: RationalPoint) -> ExpSumResult:
-    """sum_s e(g(s) a / q) from the class histogram of g: a is a unit, so
-    the phase class k = g(s) a holds H[a^-1 k mod q] terms."""
-    counts = hist[np.arange(pt.q, dtype=np.int64) * pow(pt.a, -1, pt.q) % pt.q]
-    n_terms = int(hist.sum())
-    return ExpSumResult(
-        value=complex(np.dot(counts, roots)),
-        n_terms=n_terms,
-        est_abs_error=n_terms * 2.0**-46,
-    ).check_trivial_bound()
-
-
 def complete_sum(
     g: IntPolynomial, pt: RationalPoint, sieve: Optional[SieveProfile] = None
 ) -> ExpSumResult:
@@ -113,7 +110,15 @@ def complete_sum(
     A sieve profile restricts s to W^q(Y): only the primes with p^gamma | q
     are active.  Phases are exact integer classes mod q.
     """
-    return _phase_sum(*_phase_table(g, pt.q, sieve), pt)
+    hist, roots = _phase_table(g, pt.q, sieve)
+    # a is a unit, so the phase class k = g(s) a holds H[a^-1 k mod q] terms
+    counts = hist[np.arange(pt.q, dtype=np.int64) * pow(pt.a, -1, pt.q) % pt.q]
+    n_terms = int(hist.sum())
+    return ExpSumResult(
+        value=complex(np.dot(counts, roots)),
+        n_terms=n_terms,
+        est_abs_error=n_terms * 2.0**-46,
+    ).check_trivial_bound()
 
 
 def crt_split(
@@ -173,14 +178,18 @@ def sqrt_cancel_audit(
     fitted_c = 0.0
     for q in range(1, q_max + 1):
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1).tolist()  # [0] at q = 1
-        sample = units if len(units) <= AUDIT_SAMPLES else rng.sample(units, AUDIT_SAMPLES)
-        table = _phase_table(g, q, profile)
+        sample = sorted(units if len(units) <= AUDIT_SAMPLES else rng.sample(units, AUDIT_SAMPLES))
+        hist, roots = _phase_table(g, q, profile)
+        # row i holds the class counts of a = sample[i]: H[a^-1 k mod q]
+        inverses = np.array([pow(a, -1, q) for a in sample], dtype=np.int64)
+        counts = hist[np.arange(q, dtype=np.int64) * inverses[:, None] % q]
+        abs_sums = [abs(complex(np.dot(row, roots))) for row in counts]
+        assert max(abs_sums) <= hist.sum() * (1 + 1e-9) + 1e-9  # the trivial bound
         # omega and the class tags depend on q alone
         w = omega(q)
         tags = ",".join(tag for _, tag in crt_split(RationalPoint(units[0], q), profile))
         best = 0.0
-        for a in sorted(sample):
-            abs_sum = abs(_phase_sum(*table, RationalPoint(a, q)).value)
+        for a, abs_sum in zip(sample, abs_sums):
             ratio = abs_sum / math.sqrt(q)
             rows.append(
                 {
@@ -244,24 +253,21 @@ def _weyl_terms(
     return terms * acc, float(np.sum(np.abs(acc)))
 
 
-def weyl_sum(
+def _streamed_weyl_sum(
     g: IntPolynomial,
     pt: RationalPoint,
     X: int,
-    profile: Optional[SieveProfile] = None,
-    weighted: bool = False,
-    beta: float = 0.0,
+    profile: Optional[SieveProfile],
+    weighted: bool,
+    beta: float,
 ) -> ExpSumResult:
-    """sum over n <= X (n in W(Y) if a profile is given) of
-    [g'(n)] * e(g(n) * (a/q + beta)).
+    """The Weyl sum over every term n <= X.
 
     The terms are generated WEYL_CHUNK integers at a time and summed in
     blocks of DEFAULT_BLOCK, the remainder of a chunk carrying into the next,
     and the block sums are added pairwise: memory stays bounded, and the
     value is the one this blocking gives over all terms held at once.
     """
-    if X > WEYL_LIMIT:
-        raise ResourceLimit(f"Weyl sums capped at X <= {WEYL_LIMIT}")
     dg = g.derivative() if weighted else None
     leaves: list[complex] = []
     carry = np.zeros(0, dtype=np.complex128)
@@ -287,6 +293,100 @@ def weyl_sum(
         n_terms=n_terms,
         est_abs_error=max(mass, 1.0) * 2.0**-46,
     ).check_trivial_bound(mass)
+
+
+def _period_weights(dg: IntPolynomial, L: int, X: int) -> Optional[IntPolynomial]:
+    """W for the class weights of a period L <= X, or None past int64.
+
+    With c = X // L, the terms n = r + mL (m < c) of a residue r in [1, L]
+    weigh W(r) = sum_{m < c} dg(r + mL).  h(m) = dg(x + mL) has len(dg.coeffs)
+    coefficients in the Newton basis binom(m, i), the forward differences
+    Delta^i h(0), so W = sum_i binom(c, i + 1) Delta^i h(0): a polynomial
+    with exact integer coefficients.  None unless int64 holds every partial
+    sum exactly (Horner of W at r <= L, of dg at n <= X, and a class sum, at
+    most sum_{n <= X} |dg(n)|).
+    """
+    c = X // L
+    h = [shift_scale(dg, m * L, 1, 1) for m in range(len(dg.coeffs))]
+    W = ZERO
+    for i in range(len(h)):
+        W = W + h[0] * math.comb(c, i + 1)
+        h = [b - a for a, b in zip(h, h[1:])]
+    bound = sum(abs(w) * L**t for t, w in enumerate(W.coeffs)) + X * sum(
+        abs(d) * X**j for j, d in enumerate(dg.coeffs)
+    )
+    return W if bound < 2**63 else None
+
+
+def _periodic_weyl_sum(
+    g: IntPolynomial,
+    pt: RationalPoint,
+    X: int,
+    L: int,
+    profile: Optional[SieveProfile],
+    dg: IntPolynomial,
+    W: IntPolynomial,
+) -> ExpSumResult:
+    """The beta = 0 Weyl sum of dg(n) e(g(n) a/q) from one period L <= X.
+
+    q | L and membership in W(Y) has period L, so the n = r + mL <= X of a
+    residue r in [1, L] share the class g(r) a mod q and weigh W(r), plus
+    dg(r + cL) when r <= X mod L.  The residues are taken WEYL_CHUNK at a
+    time, so memory stays bounded as in the stream.  The class weights C_k
+    are exact int64 sums, each rounded once and dotted with _roots(q), as
+    in complete_sum.
+    """
+    c, rem = divmod(X, L)
+    hist = np.zeros(pt.q, dtype=np.int64)
+    n_terms, mass = 0, 0
+    for lo in range(1, L + 1, WEYL_CHUNK):
+        r = np.arange(lo, min(lo + WEYL_CHUNK, L + 1), dtype=np.int64)
+        if profile is not None:
+            r = r[profile.mask(len(r), lo=lo)]
+        tail = r <= rem  # r + cL <= X
+        weights = np.zeros(len(r), dtype=np.int64) + W(r)
+        weights[tail] += dg(r[tail] + c * L)
+        np.add.at(hist, values_mod(g, r, pt.q) * pt.a % pt.q, weights)
+        n_terms += c * len(r) + int(np.count_nonzero(tail))
+        mass += int(np.abs(weights).sum())
+    return ExpSumResult(
+        value=complex(np.dot(hist.astype(np.float64), _roots(pt.q))),
+        n_terms=n_terms,
+        est_abs_error=max(mass, 1) * 2.0**-46,
+    ).check_trivial_bound(float(mass))
+
+
+def _check_weyl_limit(X: int) -> None:
+    if X > WEYL_LIMIT:
+        raise ResourceLimit(f"Weyl sums capped at X <= {WEYL_LIMIT}")
+
+
+def weyl_sum(
+    g: IntPolynomial,
+    pt: RationalPoint,
+    X: int,
+    profile: Optional[SieveProfile] = None,
+    weighted: bool = False,
+    beta: float = 0.0,
+) -> ExpSumResult:
+    """sum over n <= X (n in W(Y) if a profile is given) of
+    [g'(n)] * e(g(n) * (a/q + beta)).
+
+    At beta = 0 the terms repeat with the period L = lcm(q, profile.wheel),
+    and a period that X covers often enough to repay it (PERIOD_COST), with
+    q <= WEYL_CHUNK and int64 class weights, is summed once
+    (_periodic_weyl_sum); otherwise every term is streamed
+    (_streamed_weyl_sum).
+    """
+    _check_weyl_limit(X)
+    if beta == 0.0 and pt.q <= WEYL_CHUNK:
+        L = pt.q if profile is None else math.lcm(pt.q, profile.wheel)
+        if PERIOD_COST * L + PERIOD_OVERHEAD <= X:
+            dg = g.derivative() if weighted else ONE
+            W = _period_weights(dg, L, X)
+            if W is not None:
+                return _periodic_weyl_sum(g, pt, X, L, profile, dg, W)
+    return _streamed_weyl_sum(g, pt, X, profile, weighted, beta)
 
 
 def oscillatory_integral(g: IntPolynomial, beta: float, X: int) -> complex:
@@ -336,8 +436,9 @@ def major_arc_asymptotic(
     weight g'(x) e(g(x) beta); partial summation pays the class-count error
     once for every unit of phase that e(g(x) beta) turns through, and
     |beta| |g(X) - g(0)| is that total variation.  At beta = 0 it is
-    X >= q Y^2.
+    X >= q Y^2.  X is checked against WEYL_LIMIT before any float work.
     """
+    _check_weyl_limit(X)
     q = pt.q
     pref = Fraction(1, q)
     for p, (gamma, j, _) in profile.table.items():

@@ -70,6 +70,11 @@ class SieveProfile:
             out *= 1 - Fraction(j, p**gamma)
         return out
 
+    @property
+    def wheel(self) -> int:
+        """prod p^gamma over the primes with roots: the period of W(Y)."""
+        return math.prod(pg for pg, _ in self._active())
+
     def _active(self, q: int | None = None):
         """(p^gamma, roots) for every prime with roots; only p^gamma | q if q is given."""
         for p, (gamma, _, roots) in self.table.items():

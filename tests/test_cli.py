@@ -159,6 +159,10 @@ class TestExitCodes:
             (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta", "1e-9",
               "--X", str(10**30), "--Y", "10"),
              "Weyl sums capped at X <= 100000000"),
+            # checked before the oscillatory integral turns X into a float
+            (("expsum", "major", "--poly", "x^2", "-a", "1", "-q", "3", "--beta", "0",
+              "--X", str(10**200), "--Y", "10"),
+             "Weyl sums capped at X <= 100000000"),
             # checked before any run is expanded: one long run, or runs that add up
             (("circle", "dft", "--set", "{long_run}"),
              f"DFSET1 runs capped at {SET_FILE_LIMIT} members in total, got {10**10}"),
@@ -169,7 +173,7 @@ class TestExitCodes:
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
              "modulus-1e300", "sieve-scan", "image-N-1e400", "trivial-N-1e400",
              "trivial-past-limit", "ruzsa-N", "audit-sqrt-total", "aux-audit-dmax",
-             "major-X-1e30", "dfset-long-run", "dfset-run-total"],
+             "major-X-1e30", "major-beta0-X-1e200", "dfset-long-run", "dfset-run-total"],
     )
     def test_size_guards_exit_three_quickly(self, capsys, tmp_path, argv, message):
         files = {name: tmp_path / name for name in ("pair", "long_run", "many_runs")}

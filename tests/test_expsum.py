@@ -17,13 +17,20 @@ import pytest
 
 from ilab.expsum import (
     DEFAULT_BLOCK,
+    PERIOD_COST,
+    PERIOD_OVERHEAD,
     WEYL_CHUNK,
     RationalPoint,
     ResourceLimit,
     complete_sum,
     crt_split,
     _phase_table,
+    ONE,
+    _period_weights,
+    _periodic_weyl_sum,
     _phases,
+    _roots,
+    _streamed_weyl_sum,
     _weyl_terms,
     major_arc_asymptotic,
     moment_sum,
@@ -336,7 +343,7 @@ class TestStreamedWeylSum:
     def assert_identical(g, alpha, X, profile, weighted):
         rat, beta = (alpha, 0.0) if isinstance(alpha, Fraction) else alpha
         pt = RationalPoint(rat.numerator, rat.denominator)
-        res = weyl_sum(g, pt, X, profile, weighted=weighted, beta=beta)
+        res = _streamed_weyl_sum(g, pt, X, profile, weighted, beta)
         value, n_terms = materialized_weyl_sum(g, alpha, X, profile, weighted)
         assert (res.value.real.hex(), res.value.imag.hex(), res.n_terms) == (
             value.real.hex(),
@@ -372,22 +379,142 @@ class TestStreamedWeylSum:
     def test_bounded_memory(self):
         # holding all 2e7 terms at once peaks near 350 MB.  The child reads its
         # own VmHWM: ru_maxrss would carry over the peak of this test process,
-        # which a child inherits through fork and exec
-        code = (
-            "from ilab.expsum import RationalPoint, weyl_sum\n"
-            "from ilab.poly import parse_poly\n"
-            "from ilab.sieve import SieveProfile\n"
-            "g = parse_poly('x^2')\n"
-            "weyl_sum(g, RationalPoint(1, 3), 2 * 10**7, SieveProfile.build(g, 10), weighted=True)\n"
-            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
-            "print(status.split()[0])\n"
-        )
+        # which a child inherits through fork and exec.  At q = 3 weyl_sum
+        # sums one period of 420, at q = 19997 one of 8398740 in chunks; at
+        # q = 10000019 the period passes X and every term is streamed
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        for q in (3, 19997, 10000019):
+            code = (
+                "from ilab.expsum import RationalPoint, weyl_sum\n"
+                "from ilab.poly import parse_poly\n"
+                "from ilab.sieve import SieveProfile\n"
+                "g = parse_poly('x^2')\n"
+                f"weyl_sum(g, RationalPoint(1, {q}), 2 * 10**7, SieveProfile.build(g, 10), weighted=True)\n"
+                "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+                "print(status.split()[0])\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            assert int(out.stdout) / 1024 < 150, q  # VmHWM is in kB
+
+
+def wheel_period(q, profile):
+    """lcm(q, p^gamma over the primes whose root classes the sieve removes)."""
+    return q if profile is None else math.lcm(q, profile.wheel)
+
+
+def brute_class_weights(g, pt, X, profile, weighted):
+    """(C, n_terms): C[k] sums [g'(n)] over the n <= X (in W(Y) with a
+    profile) with g(n) a = k mod q, in Python ints."""
+    dg = g.derivative()
+    C, n_terms = [0] * pt.q, 0
+    for n in range(1, X + 1):
+        if profile is None or profile.member(n):
+            C[g(n) * pt.a % pt.q] += dg(n) if weighted else 1
+            n_terms += 1
+    return C, n_terms
+
+
+def periodic_sum(g, pt, X, profile, weighted):
+    """_periodic_weyl_sum over the wheel period, whatever weyl_sum's cost
+    rule would pick."""
+    L = wheel_period(pt.q, profile)
+    dg = g.derivative() if weighted else ONE
+    return _periodic_weyl_sum(g, pt, X, L, profile, dg, _period_weights(dg, L, X))
+
+
+def assert_class_weights(g, pt, X, profile, weighted):
+    """The periodic sum against the brute-force class weights: n_terms
+    exactly, the value as sum float(C_k) e(k/q) bit for bit, and the
+    streamed sum within est_abs_error."""
+    C, n_terms = brute_class_weights(g, pt, X, profile, weighted)
+    want = complex(np.dot(np.array([float(c) for c in C]), _roots(pt.q)))
+    res = periodic_sum(g, pt, X, profile, weighted)
+    assert res.n_terms == n_terms
+    assert (res.value.real.hex(), res.value.imag.hex()) == (want.real.hex(), want.imag.hex())
+    streamed = _streamed_weyl_sum(g, pt, X, profile, weighted, 0.0)
+    assert streamed.n_terms == n_terms
+    assert abs(res.value - streamed.value) <= res.est_abs_error
+    return res
+
+
+class TestPeriodicWeylSum:
+    """beta = 0 Weyl sums as exact class weights over one period."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = random.Random(seed)
+        while count:
+            g = IntPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(2, 4))]
+                              + [rng.choice([-1, 1]) * rng.randint(1, 20)])
+            q = rng.randint(1, 60)
+            a = rng.choice([x for x in range(q) if math.gcd(x, q) == 1])
+            profile = SieveProfile.build(g, rng.choice([0, 5, 10]))
+            L = wheel_period(q, profile)
+            if L > 3000:  # keeps the Python-int oracle quick
+                continue
+            count -= 1
+            for X in (L, 2 * L - 1, 2 * L, 2 * L + 1, rng.randint(L, 6 * L)):
+                yield g, RationalPoint(a, q), X, profile
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_random_polynomials_against_brute_force(self, weighted):
+        for g, pt, X, profile in self.cases(601 + weighted, 40):
+            assert_class_weights(g, pt, X, profile, weighted)
+
+    def test_derivative_changing_sign(self):
+        # g' = 3x^2 - 60x + 11 is negative on [1, 19] and positive past it:
+        # the Newton-basis weights mix signs within one residue class
+        g = parse_poly("x^3-30x^2+11x-7")
+        for Y in (0, 5, 10):
+            profile = SieveProfile.build(g, Y)
+            for q in (1, 7, 12, 60):
+                L = wheel_period(q, profile)
+                for X in (L, 2 * L - 1, 2 * L, 2 * L + 1, 7 * L + 3):
+                    assert_class_weights(g, RationalPoint(1 % q, q), X, profile, True)
+
+    def test_chunks_do_not_change_the_bits(self, monkeypatch):
+        # the class weights are exact, so residues taken 37 at a time (a
+        # chunk that divides no period) give the sum of one whole chunk
+        for weighted in (False, True):
+            for g, pt, X, profile in self.cases(605 + weighted, 20):
+                whole = periodic_sum(g, pt, X, profile, weighted)
+                with monkeypatch.context() as m:
+                    m.setattr("ilab.expsum.WEYL_CHUNK", 37)
+                    assert periodic_sum(g, pt, X, profile, weighted) == whole
+
+    def test_cost_rule_picks_the_path(self):
+        # a period of 420 that X covers many times is summed once; a
+        # period past X, q past WEYL_CHUNK, or class weights past int64
+        # stream
+        profile = SieveProfile.build(X2, 10)
+        X = 10**6
+        assert weyl_sum(X2, RationalPoint(1, 3), X, profile, weighted=True) == periodic_sum(
+            X2, RationalPoint(1, 3), X, profile, True
         )
-        assert int(out.stdout) / 1024 < 150  # VmHWM is in kB
+        big = RationalPoint(1, 10007)  # L = 4202940 > X
+        assert weyl_sum(X2, big, X, profile, weighted=True) == _streamed_weyl_sum(
+            X2, big, X, profile, True, 0.0
+        )
+        wide = RationalPoint(1, WEYL_CHUNK + 3)  # prime, L = q, X > 2L
+        assert weyl_sum(X2, wide, 6 * 10**5) == _streamed_weyl_sum(
+            X2, wide, 6 * 10**5, None, False, 0.0
+        )
+        # 7x^5 at X = 5 10^5: the class sums reach 2e28
+        g, X = parse_poly("7x^5"), 5 * 10**5
+        profile5 = SieveProfile.build(g, 5)
+        assert _period_weights(g.derivative(), wheel_period(3, profile5), X) is None
+        assert weyl_sum(g, RationalPoint(1, 3), X, profile5, weighted=True) == _streamed_weyl_sum(
+            g, RationalPoint(1, 3), X, profile5, True, 0.0
+        )
+        # the smallest X the rule sends to the period, and one less
+        edge = PERIOD_COST * 420 + PERIOD_OVERHEAD
+        for X, periodic in ((edge - 1, False), (edge, True)):
+            path = periodic_sum if periodic else _streamed_weyl_sum
+            args = (X2, RationalPoint(1, 3), X, profile, False) + (() if periodic else (0.0,))
+            assert weyl_sum(X2, RationalPoint(1, 3), X, profile) == path(*args)
 
 
 class TestOscillatoryIntegral:

@@ -5,7 +5,8 @@ count, the first simple root of a certificate against the full residue scan
 roots_mod, the singular-only root lifts, the sieve's gamma against its
 definition and its refusal of moduli past that scan, parse_poly as the
 inverse of str, the Weyl-sum phase against Fraction arithmetic, the
-root-table Weyl terms against exp of that phase, the local content audit
+root-table Weyl terms against exp of that phase, the periodic beta = 0
+Weyl sum against brute-force class weights, the local content audit
 against a walk over every d, the prefix-sum translate counts against an FFT
 correlation and a direct count, the numpy DFSET1 writer and loader
 against per-line Python ones, and the modular search's numpy warm start
@@ -49,6 +50,7 @@ from ilab.sieve import SieveProfile  # noqa: E402
 from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
 from test_circle import direct_correlation_counts, fft_correlation_counts  # noqa: E402
 from test_cli import per_line_load_set  # noqa: E402
+from test_expsum import assert_class_weights, wheel_period  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 PRIMES = primes_up_to(2000)
@@ -436,6 +438,36 @@ def test_weyl_root_table_terms_are_the_phase_terms(case):
     want = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
     assert terms.tobytes() == want.tobytes()
     assert mass == len(n)
+
+
+@st.composite
+def periodic_weyl_case(draw):
+    """g of degree 2-4 with coefficients in +-20, a reduced a/q with q <= 60,
+    Y in {0, 5, 10} and X from one wheel period L <= 3000 to six of them,
+    with the edges L, 2L - 1, 2L, 2L + 1 drawn as often as the rest."""
+    degree = draw(st.integers(2, 4))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree))
+    lead = draw(st.integers(-20, 20).filter(bool))
+    g = IntPolynomial(coeffs + [lead])
+    q = draw(st.integers(1, 60))
+    a = draw(st.sampled_from([x for x in range(q) if math.gcd(x, q) == 1]))
+    profile = SieveProfile.build(g, draw(st.sampled_from([0, 5, 10])))
+    L = wheel_period(q, profile)
+    assume(L <= 3000)
+    X = draw(st.one_of(st.sampled_from([L, 2 * L - 1, 2 * L, 2 * L + 1]), st.integers(L, 6 * L)))
+    return g, RationalPoint(a, q), X, profile, draw(st.booleans())
+
+
+@PROPERTY
+@given(periodic_weyl_case())
+@example((parse_poly("x^2"), RationalPoint(1, 3), 2 * 420 + 1, SieveProfile.build(parse_poly("x^2"), 10), True))
+@example((parse_poly("x^3-30x^2+11x-7"), RationalPoint(7, 60), 3 * 420 - 1,
+          SieveProfile.build(parse_poly("x^3-30x^2+11x-7"), 10), True))
+@example((parse_poly("x^2"), RationalPoint(0, 1), 1, SieveProfile.build(parse_poly("x^2"), 0), False))
+def test_periodic_weyl_sum_is_the_class_weight_sum(case):
+    # n_terms exact, sum float(C_k) e(k/q) bit for bit against brute-force
+    # class weights, and the streamed sum within est_abs_error
+    assert_class_weights(*case)
 
 
 @st.composite
