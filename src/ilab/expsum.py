@@ -236,14 +236,16 @@ def _weyl_terms(
     pt: RationalPoint,
     beta: float,
     n: np.ndarray,
+    roots: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """The terms [g'(n)] e(g(n) (a/q + beta)) at the int64 integers n, and
     their mass.  With a/q + beta = A/Q and Q <= len(n), the terms are read
-    from _roots(Q) at the exact classes g(n) A mod Q, from at most as many
-    exponentials (and Q <= len(n) <= WEYL_CHUNK keeps them in int64 Horner)."""
+    from the table _roots(Q) (roots, when the caller holds it) at the exact
+    classes g(n) A mod Q, from at most as many exponentials (and
+    Q <= len(n) <= WEYL_CHUNK keeps them in int64 Horner)."""
     A, Q = _exact_alpha(pt.a, pt.q, beta)
     if Q <= len(n):
-        terms = _roots(Q)[values_mod(g, n, Q) * (A % Q) % Q]
+        terms = (_roots(Q) if roots is None else roots)[values_mod(g, n, Q) * (A % Q) % Q]
     else:
         terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
     if dg is None:
@@ -266,9 +268,12 @@ def _streamed_weyl_sum(
     The terms are generated WEYL_CHUNK integers at a time and summed in
     blocks of DEFAULT_BLOCK, the remainder of a chunk carrying into the next,
     and the block sums are added pairwise: memory stays bounded, and the
-    value is the one this blocking gives over all terms held at once.
+    value is the one this blocking gives over all terms held at once.  The
+    table e(k/Q) is built once, at the first chunk that reads it.
     """
     dg = g.derivative() if weighted else None
+    Q = _exact_alpha(pt.a, pt.q, beta)[1]
+    roots = None
     leaves: list[complex] = []
     carry = np.zeros(0, dtype=np.complex128)
     n_terms, mass = 0, 0.0
@@ -276,7 +281,9 @@ def _streamed_weyl_sum(
         n = np.arange(lo, min(lo + WEYL_CHUNK, X + 1), dtype=np.int64)
         if profile is not None:
             n = n[profile.mask(len(n), lo=lo)]
-        terms, chunk_mass = _weyl_terms(g, dg, pt, beta, n)
+        if roots is None and Q <= len(n):
+            roots = _roots(Q)
+        terms, chunk_mass = _weyl_terms(g, dg, pt, beta, n, roots)
         n_terms += len(n)
         mass += chunk_mass
         terms = np.concatenate((carry, terms))

@@ -41,22 +41,23 @@ def values_mod(p: IntPolynomial, s: np.ndarray, q: int | np.ndarray) -> np.ndarr
     array of moduli, one per element of s; needs max(q)^2 < 2**63.  s holds
     int64 values or Python ints of any size (an object array).
 
-    Every term is non-negative, so the accumulator is reduced only when the
-    next step could pass 2**63 (an exact bound in max(q)): small moduli take
-    several Horner steps per modulo.
+    Every term is below max(q) in absolute value (a coefficient that is
+    added unreduced, or a residue), so the accumulator is reduced only when
+    the next step could pass 2**63 (an exact bound in max(q)): small moduli
+    take several Horner steps per modulo.
     """
     top = int(q.max()) if isinstance(q, np.ndarray) else int(q)
     if top * top >= 2**63:
         raise ValueError(f"int64 Horner needs q*q < 2**63, got q = {top}")
     sq = np.asarray(s % q, dtype=np.int64)
     acc = np.zeros(len(s), dtype=np.int64)
-    bound = 0  # acc <= bound elementwise
+    bound = 0  # |acc| <= bound elementwise
     for c in reversed(p.coeffs):
         if (bound + 1) * (top - 1) >= 2**63:
             acc %= q
             bound = top - 1
         acc *= sq
-        acc += _residues(c, q)
+        acc += c if abs(c) < top else _residues(c, q)
         bound = (bound + 1) * (top - 1)
     acc %= q
     return acc

@@ -98,8 +98,9 @@ class TestExitCodes:
         assert code == 3
 
     def test_exact_count_node_guard_exits_three(self, capsys, monkeypatch):
+        # min(X, wheel) = 10^12 is past COUNT_SPAN_LIMIT: inclusion-exclusion counts
         monkeypatch.setattr("ilab.sieve.COUNT_NODE_LIMIT", 1000)
-        code = main(["sieve", "count", "--poly", "x^2", "--Y", "66", "--X", "10000000"])
+        code = main(["sieve", "count", "--poly", "x^2", "--Y", "66", "--X", "1000000000000"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("resource guard: ") and captured.err.count("\n") == 1

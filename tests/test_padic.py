@@ -80,16 +80,18 @@ class TestValuesMod:
             assert values_mod(g, s, top).tolist() == [g.eval_mod(int(t), top) for t in s]
 
     def test_lazy_reduction_at_the_int64_edge(self):
-        # coefficients and inputs at q - 1 drive the accumulator to its
-        # bound; q^e just below and above 2^63 puts a reduction at the edge
+        # coefficients of absolute value q - 1 (added unreduced, either
+        # sign) and inputs at q - 1 drive the accumulator to its bound; q^e
+        # just below and above 2^63 puts a reduction at the edge
         for e in (2, 3, 4, 5):
             base = round(2 ** (63 / e))
             for q in range(base - 3, base + 4):
                 if q * q >= 2**63:
                     continue
-                g = IntPolynomial([q - 1] * 9)
                 s = np.array([q - 1, q - 2, 1, 0], dtype=np.int64)
-                assert values_mod(g, s, q).tolist() == [g.eval_mod(int(t), q) for t in s]
+                for g in (IntPolynomial([q - 1] * 9), IntPolynomial([1 - q] * 9),
+                          IntPolynomial([(-1) ** i * (q - 1) for i in range(9)])):
+                    assert values_mod(g, s, q).tolist() == [g.eval_mod(int(t), q) for t in s]
 
     def test_int64_guard(self):
         q = math.isqrt(2**63 - 1)  # largest q with q*q < 2**63

@@ -3,7 +3,9 @@ shift_scale against Horner composition on polynomial objects, the batched
 roots mod p against evaluation and a plain-Python gcd(x^p - x, f) root
 count, the first simple root of a certificate against the full residue scan
 roots_mod, the singular-only root lifts, the sieve's gamma against its
-definition and its refusal of moduli past that scan, parse_poly as the
+definition and its refusal of moduli past that scan, the masked sieve count
+against inclusion-exclusion and the mask, the patterned mask against the
+mask struck across its whole range, parse_poly as the
 inverse of str, the Weyl-sum phase against Fraction arithmetic, the
 root-table Weyl terms against exp of that phase, the periodic beta = 0
 Weyl sum against brute-force class weights, the local content audit
@@ -46,6 +48,7 @@ from ilab.poly import (  # noqa: E402
     square_free_decomposition,
 )
 from ilab.setio import load_set, runs_of, save_dfset  # noqa: E402
+import ilab.sieve as sieve  # noqa: E402
 from ilab.sieve import SieveProfile  # noqa: E402
 from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
 from test_circle import direct_correlation_counts, fft_correlation_counts  # noqa: E402
@@ -334,6 +337,60 @@ def test_sieve_refuses_moduli_past_the_scan(p, e, cs, lead, Y):
     else:
         table = SieveProfile.build(g, Y).table
         assert {q: row[0] for q, row in table.items()} == gammas
+
+
+@st.composite
+def sieve_count_case(draw):
+    """A profile of g of degree 2-5 (coefficients in +-20) at Y <= 60, an X
+    up to 2 * 10^5 (at a wheel edge L - 1, L, L + 1 or kL + r when the wheel
+    L is that short) and a count chunk length, 2^18 or short."""
+    degree = draw(st.integers(2, 5))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree))
+    g = IntPolynomial(coeffs + [draw(st.integers(-20, 20).filter(bool))])
+    profile = SieveProfile.build(g, draw(st.integers(0, 60)))
+    L, cap = profile.wheel, 2 * 10**5
+    X = draw(st.integers(-2, cap))
+    if L * 6 <= cap and draw(st.booleans()):
+        X = draw(st.sampled_from([L - 1, L, L + 1, draw(st.integers(1, 5)) * L + draw(st.integers(0, L - 1))]))
+    return profile, X, draw(st.sampled_from([sieve.COUNT_CHUNK, 4096, 97]))
+
+
+@PROPERTY
+@given(sieve_count_case())
+@example((SieveProfile.build(parse_poly("x^2"), 10), 3 * 420 + 419, 97))
+@example((SieveProfile.build(parse_poly("x^2+x"), 2), 10, 97))  # no active prime
+@example((SieveProfile.build(parse_poly("x^2"), 60), 0, sieve.COUNT_CHUNK))
+def test_masked_count_matches_inclusion_exclusion_and_the_mask(case):
+    profile, X, chunk = case
+    with mock.patch.object(sieve, "COUNT_CHUNK", chunk):
+        got = sieve.enumerate_w(profile, X)
+        if X < 1:
+            assert got == 0
+            return
+        assert got == sieve._masked_count(profile, X)
+    assert got == sieve._count_avoiding(list(profile._active()), X)
+    assert got == int(profile.mask(X + 1)[1:].sum())
+
+
+@PROPERTY
+@given(
+    cs=st.lists(st.integers(-20, 20), min_size=2, max_size=5),
+    Y=st.integers(0, 60),
+    n=st.integers(0, 10**5),
+    lo=st.one_of(st.integers(0, 10**4), st.integers(0, 10**12)),
+    q=st.one_of(st.none(), st.integers(1, 10**6), st.just("wheel")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_patterned_mask_is_the_struck_mask(cs, Y, n, lo, q, seed):
+    # the mask with its leading moduli repeated from one period, against
+    # every modulus struck across the whole range and against member()
+    profile = SieveProfile.build(IntPolynomial(cs + [1]), Y)
+    q = profile.wheel if q == "wheel" else q
+    got = profile.mask(n, q, lo=lo)
+    with mock.patch.object(sieve, "PATTERN_LIMIT", 1):
+        assert got.tolist() == profile.mask(n, q, lo=lo).tolist()
+    for i in np.random.default_rng(seed).integers(0, max(n, 1), size=min(n, 40)).tolist():
+        assert got[i] == profile.member(lo + i, q)
 
 
 @PROPERTY
