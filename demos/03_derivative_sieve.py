@@ -37,8 +37,9 @@ for X in (10**4, 10**5, 10**6, 10**7):
     print(f"{X:>10} {cmp.exact:>10} {cmp.main:>14.2f} {cmp.relative_error:>12.2e}")
 
 print()
-print("Counting is exact (CRT inclusion-exclusion); the wheel periodicity")
-print("makes the main term nearly exact once X passes the period.")
+print("Counting is exact (one masked pass over min(X, period) residues);")
+print("the wheel periodicity makes the main term nearly exact once X passes")
+print("the period.")
 
 print()
 print("=" * 72)

@@ -214,17 +214,14 @@ def content_bound_audit(fam: AuxiliaryFamily, d_max: int) -> ContentAuditReport:
     )
 
 
-def image_elements(p: IntPolynomial, bound: int) -> list[int]:
-    """I(p) intersected with [1, bound], exactly.
-
-    I(p) is the set of positive values of p over n = 1, 2, ... when the
-    leading coefficient is positive, and the absolute values of the negative
-    ones when it is negative.
-    """
+def image_cutoff(p: IntPolynomial, bound: int) -> int:
+    """A count c of inputs n = 1..c that covers every n at which p (or -p,
+    when the leading coefficient is negative) takes a value in [1, bound];
+    0 when bound < 1.  Refuses c past IMAGE_LIMIT without enumerating."""
     if p.is_zero or p.degree < 1:
         raise ValueError("image_elements requires a nonconstant polynomial")
     if bound < 1:
-        return []
+        return 0
     q = p if p.leading > 0 else -p
     k = q.degree
     ak = q.leading
@@ -236,6 +233,18 @@ def image_elements(p: IntPolynomial, bound: int) -> list[int]:
         raise ResourceLimit(
             f"image enumeration capped at {IMAGE_LIMIT} values of n, got {cutoff}"
         )
+    return cutoff
+
+
+def image_elements(p: IntPolynomial, bound: int) -> list[int]:
+    """I(p) intersected with [1, bound], exactly.
+
+    I(p) is the set of positive values of p over n = 1, 2, ... when the
+    leading coefficient is positive, and the absolute values of the negative
+    ones when it is negative.
+    """
+    cutoff = image_cutoff(p, bound)
+    q = p if p.leading > 0 else -p
     out = set()
     for n in range(1, cutoff + 1):
         v = q(n)

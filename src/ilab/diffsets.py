@@ -6,15 +6,19 @@ elements, truncated to [1, N-1].  Verification picks the cheaper of two
 exact checks: the |A|(|A|-1)/2 pairwise differences looked up in the sorted
 forbidden set F, or one shift-AND of A's bitset per forbidden value,
 |F|*ceil(N/64) machine words.  The bitset is packed from a bool mask, so it
-costs O(N) bytes to build.  Constructions (greedy scan, multiples of a
-prime, base-q digit lifts of modular sets) are always re-verified.  Modular
-search looks for a maximum independent set in the Cayley graph of Z/q whose
-connection set is the nonzero k-th power residues, symmetrized.  The graph
-is vertex-transitive, so the branch-and-bound fixes vertex 0; a search that
-exhausts that tree proves the optimum (always in exhaustive mode, q <= 32,
-and within the default budget at q = 205).  Budgeted searches start from the
-best of 3000 seeded greedy passes, run side by side as one numpy pass over
-the vertex-order columns.
+costs O(N) bytes to build; a set of fewer than two members passes without
+building F.  The greedy scan admits a whole window of positions per pass:
+admissions inside the window are resolved on one Python int, and the new
+members block n + F beyond it in one numpy write.  Constructions (greedy
+scan, multiples of a prime, base-q digit lifts of modular sets) are always
+re-verified.  Modular search looks for a maximum independent set in the
+Cayley graph of Z/q whose connection set is the nonzero k-th power
+residues, symmetrized.  The graph is vertex-transitive, so the
+branch-and-bound fixes vertex 0; a search that exhausts that tree proves
+the optimum (always in exhaustive mode, q <= 32, and within the default
+budget at q = 205).  Budgeted searches start from the best of 3000 seeded
+greedy passes, run side by side as one numpy pass over the vertex-order
+columns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Collection, Optional, Sequence, Union
 import numpy as np
 
 from .arith import factorize, integer_nth_root, is_prime
-from .auxiliary import image_elements
+from .auxiliary import image_cutoff, image_elements
 from .padic import ResourceLimit
 from .poly import IntPolynomial
 
@@ -40,7 +44,11 @@ SEARCH_Q_LIMIT = 1000
 TRIVIAL_LIMIT = 2**15
 # N of the Ruzsa lift; at the limit, q = 5 and k = 2 take about 2.5 s
 RUZSA_LIMIT = 10**7
-GREEDY_CHUNK = 2**14
+# greedy's window width, and the most n + F sums it writes at once
+GREEDY_CHUNK = 2**9
+GREEDY_BLOCK = 2**16
+# greedy's N, so that the largest member of any greedy set fits one bitset
+GREEDY_LIMIT = BITSET_LIMIT - 1
 # one searchsorted lookup of a difference costs about as much as 8 words of
 # big-int shift-AND (measured on difference-free sets with N <= 10^7)
 PAIR_COST_WORDS = 8
@@ -193,9 +201,12 @@ def verify(inst: DiffFreeInstance) -> Optional[Violation]:
     Both checks are exact and return the same witness; the cheaper one runs.
     Pairwise lookup of the |A|(|A|-1)/2 differences in F, each costed at
     PAIR_COST_WORDS words, wins on sparse sets and large F; one bitset
-    shift-AND per f in F, |F|*ceil(N/64) words, wins otherwise."""
-    F = inst.forbidden
+    shift-AND per f in F, |F|*ceil(N/64) words, wins otherwise.  A set of
+    fewer than two members has no difference, so F is not built for it."""
     n = len(inst.members)
+    if n < 2:
+        return None
+    F = inst.forbidden
     if PAIR_COST_WORDS * n * (n - 1) // 2 < len(F) * -(-inst.N // 64):
         hit = _pairwise_hit(sorted(inst.members), F)
     else:
@@ -222,17 +233,42 @@ def brute_force_verify(inst: DiffFreeInstance) -> bool:
 def greedy(N: int, generators: Sequence[IntPolynomial]) -> DiffFreeInstance:
     """Admit n = 1..N whenever no previously admitted a has n - a forbidden.
 
-    Runs over GREEDY_CHUNK-wide windows and visits only the positions still
-    unblocked when its window opens; each is re-checked before admission,
-    since an earlier admission in the same window may block it."""
+    Runs over GREEDY_CHUNK-wide windows.  A window's unblocked positions
+    become one int, and its admissions are resolved there lowest bit first:
+    admitting start + off clears the bits off + f for f = 0 and for each f
+    in F below the width, which are all the differences two members of one
+    window can have.  The window's new members then block n + F in one
+    numpy write, F cut at N minus the first of them, at most GREEDY_BLOCK
+    sums at a time.  N past GREEDY_LIMIT is refused before F or the mask
+    is built; the generators' image guards, which every sets command meets
+    first, are checked before that refusal."""
+    if N > GREEDY_LIMIT:
+        for g in generators:
+            image_cutoff(g, N - 1)
+        raise ResourceLimit(f"greedy construction capped at N <= {GREEDY_LIMIT}, got {N}")
     F = np.array(forbidden_sumset(generators, N), dtype=np.int64)
-    blocked = np.zeros(N + 1, dtype=bool)
-    admitted = []
-    for start in range(1, N + 1, GREEDY_CHUNK):
-        for n in (start + np.flatnonzero(~blocked[start : start + GREEDY_CHUNK])).tolist():
-            if not blocked[n]:
-                admitted.append(n)
-                blocked[n + F[: np.searchsorted(F, N - n, "right")]] = True
+    width = GREEDY_CHUNK
+    # bit 0 for the member itself, bit f for each f in F below the width
+    near = _bits_from([0, *F[: np.searchsorted(F, width)].tolist()])
+    # a write from the last member of a window reaches at most width - 1 past N
+    blocked = np.zeros(N + 1 + width, dtype=bool)
+    admitted: list[int] = []
+    for start in range(1, N + 1, width):
+        free = np.packbits(~blocked[start : min(start + width, N + 1)], bitorder="little")
+        cand = int.from_bytes(free.tobytes(), "little")
+        new = []
+        while cand:
+            off = (cand & -cand).bit_length() - 1
+            new.append(start + off)
+            cand &= ~(near << off)
+        if not new:
+            continue
+        admitted += new
+        Fc = F[: np.searchsorted(F, N - new[0], "right")]
+        rows = GREEDY_BLOCK // max(len(Fc), 1) or 1
+        members = np.array(new, dtype=np.int64)
+        for i in range(0, len(members), rows):
+            blocked[(members[i : i + rows, None] + Fc).ravel()] = True
     return DiffFreeInstance(N, generators, admitted)
 
 

@@ -145,6 +145,12 @@ class TestExitCodes:
             # exact n-th roots: N = 10^400 no longer passes through a float
             (("sets", "greedy", "--gens", "x^2", "--N", str(10**400)),
              f"image enumeration capped at 10000000 values of n, got {10**200 + 2}"),
+            # past BITSET_LIMIT - 1, checked before F (3.2 * 10^6 squares at
+            # N = 10^13) and the N-sized mask are built
+            (("sets", "greedy", "--gens", "x^2", "--N", str(2**28)),
+             "greedy construction capped at N <= 268435455, got 268435456"),
+            (("sets", "greedy", "--gens", "x^2", "--N", str(10**13)),
+             f"greedy construction capped at N <= 268435455, got {10**13}"),
             (("sets", "trivial", "--N", str(10**400), "--k", "2"),
              "trivial construction capped at p^(k-1) <= 32768 members"),
             # floor(sqrt(N)) = 32769 = TRIVIAL_LIMIT + 1
@@ -172,9 +178,10 @@ class TestExitCodes:
              f"got {SET_FILE_LIMIT + 1}"),
         ],
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
-             "modulus-1e300", "sieve-scan", "image-N-1e400", "trivial-N-1e400",
-             "trivial-past-limit", "ruzsa-N", "audit-sqrt-total", "aux-audit-dmax",
-             "major-X-1e30", "major-beta0-X-1e200", "dfset-long-run", "dfset-run-total"],
+             "modulus-1e300", "sieve-scan", "image-N-1e400", "greedy-N-past-bitset",
+             "greedy-N-1e13", "trivial-N-1e400", "trivial-past-limit", "ruzsa-N", "audit-sqrt-total",
+             "aux-audit-dmax", "major-X-1e30", "major-beta0-X-1e200", "dfset-long-run",
+             "dfset-run-total"],
     )
     def test_size_guards_exit_three_quickly(self, capsys, tmp_path, argv, message):
         files = {name: tmp_path / name for name in ("pair", "long_run", "many_runs")}

@@ -19,6 +19,7 @@ from ilab.diffsets import (
     _random_orders,
     _shift_and_hit,
     BITSET_LIMIT,
+    GREEDY_LIMIT,
     PERM_SLICE,
     SEARCH_Q_LIMIT,
     DiffFreeInstance,
@@ -210,6 +211,16 @@ class TestVerifyDispatch:
         assert len(trivial_multiples(10**5, 1)) == 1
         assert verify(greedy(20000, [X2, X2])) is None
 
+    def test_fewer_than_two_members_skip_the_sumset(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("forbidden sumset built")
+
+        monkeypatch.setattr(diffsets, "forbidden_sumset", refuse)
+        # F would be all of [1, 10^5 - 1]: one member has no difference to look up
+        assert len(trivial_multiples(10**5, 1)) == 1
+        for members in ([], [10**6]):
+            assert verify(DiffFreeInstance(10**6, [parse_poly("0,1")], members)) is None
+
 
 class TestGreedy:
     @pytest.mark.parametrize(
@@ -244,6 +255,24 @@ class TestGreedy:
         inst = greedy(10**5, [X2])
         c = len(inst) / math.sqrt(10**5)
         assert c >= 1.0  # recorded constant: well above N^(1/2)
+
+    def test_N_guard_refuses_before_building_anything(self, monkeypatch):
+        # every greedy set fits one verify bitset
+        assert GREEDY_LIMIT == BITSET_LIMIT - 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("F or the mask built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", refuse)
+            patch.setattr(diffsets, "forbidden_sumset", refuse)
+            message = f"greedy construction capped at N <= {GREEDY_LIMIT}, got {GREEDY_LIMIT + 1}"
+            with pytest.raises(ResourceLimit, match=f"^{message}$"):
+                greedy(GREEDY_LIMIT + 1, [X2])
+        monkeypatch.setattr(diffsets, "GREEDY_LIMIT", 100)
+        assert len(greedy(100, [X2])) == 21
+        with pytest.raises(ResourceLimit, match=r"capped at N <= 100, got 101"):
+            greedy(101, [X2])
 
     def test_degenerate_linear(self):
         inst = greedy(50, [parse_poly("0,1")])  # image is all of [1, N-1]

@@ -11,8 +11,9 @@ root-table Weyl terms against exp of that phase, the periodic beta = 0
 Weyl sum against brute-force class weights, the local content audit
 against a walk over every d, the prefix-sum translate counts against an FFT
 correlation and a direct count, the numpy DFSET1 writer and loader
-against per-line Python ones, and the modular search's numpy warm start
-against plain-Python greedy passes."""
+against per-line Python ones, the modular search's numpy warm start
+against plain-Python greedy passes, and the windowed greedy construction
+against the one-position loop."""
 
 import math
 from fractions import Fraction
@@ -28,7 +29,8 @@ from hypothesis import strategies as st  # noqa: E402
 from ilab.arith import primes_up_to, v_p  # noqa: E402
 from ilab.auxiliary import AuxiliaryFamily, content_bound_audit  # noqa: E402
 from ilab.circle import correlation_counts  # noqa: E402
-from ilab.diffsets import _greedy_passes, _pick_restart, _random_orders  # noqa: E402
+import ilab.diffsets as diffsets  # noqa: E402
+from ilab.diffsets import _greedy_passes, _pick_restart, _random_orders, greedy  # noqa: E402
 from ilab.expsum import WEYL_CHUNK, WEYL_LIMIT, RationalPoint, _phases, _weyl_terms  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
@@ -53,6 +55,7 @@ from ilab.sieve import SieveProfile  # noqa: E402
 from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
 from test_circle import direct_correlation_counts, fft_correlation_counts  # noqa: E402
 from test_cli import per_line_load_set  # noqa: E402
+from test_diffsets import greedy_loop  # noqa: E402
 from test_expsum import assert_class_weights, wheel_period  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -709,3 +712,37 @@ def test_warm_start_rows_are_plain_greedy_passes(case, drawn_sizes):
     # the selection rule alone, on sizes with more ties and more targets hit
     got = _pick_restart(np.array(drawn_sizes), target)
     assert got == first_best_restart(drawn_sizes, target)
+
+
+@st.composite
+def greedy_case(draw):
+    """One or two generators of degree 1-3 (coefficients low to high) and
+    N <= 3000, or <= 800 with two generators, whose pair sums are formed in
+    Python."""
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(1, 3))
+        lead = draw(st.integers(-4, 4).filter(bool))
+        gens.append(draw(st.lists(st.integers(-30, 30), min_size=degree, max_size=degree)) + [lead])
+    return draw(st.integers(1, 3000 if len(gens) == 1 else 800)), gens
+
+
+@pytest.mark.parametrize(
+    "width, block", [(None, None), (1, 1), (3, 5), (8, 64)], ids=["default", "w1", "w3", "w8"]
+)
+@PROPERTY
+@given(greedy_case())
+@example((1, [[0, 1]]))  # N = 1: F is empty
+@example((2000, [[5000, 0, 0, 1]]))  # x^3 + 5000: F is empty
+@example((3000, [[0, 1]]))  # F[0] = 1 and F is everything below N
+@example((3000, [[1, -1, 1]]))  # x^2 - x + 1: F[0] = 1, sparse
+@example((3000, [[600, 0, 1]]))  # min F = 601 >= the default window
+@example((1023, [[0, 0, 1]]))  # N at multiples of the default window, +- 1
+@example((1024, [[0, 0, 1]]))
+@example((1025, [[0, 0, 1], [0, 0, 1]]))
+def test_windowed_greedy_matches_the_loop(width, block, case):
+    N, coeffs = case
+    gens = [IntPolynomial(c) for c in coeffs]
+    with mock.patch.object(diffsets, "GREEDY_CHUNK", width or diffsets.GREEDY_CHUNK), \
+            mock.patch.object(diffsets, "GREEDY_BLOCK", block or diffsets.GREEDY_BLOCK):
+        assert sorted(greedy(N, gens).members) == greedy_loop(N, gens)
