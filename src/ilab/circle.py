@@ -1,11 +1,12 @@
 """Discrete circle method over Z_N.
 
-Normalized DFT of indicator functions, exact major/minor arc classification
-(integer cross-multiplication, never floating division), per-denominator L2
-arc mass, and the constructive density-increment extraction: from L2 mass of
-the transform near fractions with denominator q, produce a genuine integer
-arithmetic progression of step q on which the set's density rises by the
-factor (1 + theta/16).
+Normalized DFT of indicator functions (one real-input FFT, the upper half
+filled in as the exact conjugate mirror), exact major/minor arc
+classification (integer cross-multiplication, never floating division),
+per-denominator L2 arc mass, and the constructive density-increment
+extraction: from L2 mass of the transform near fractions with denominator q,
+produce a genuine integer arithmetic progression of step q on which the
+set's density rises by the factor (1 + theta/16).
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def dft_indicator(A: Iterable[int], N: int) -> FourierData:
 
     A lives in [1, N]; the element N occupies the 0 slot of Z_N.  The
     transform is exact-length N (no padding: arcs live on the rational grid
-    t/N).
+    t/N).  The indicator is real, so one rfft fills t = 0, ..., N//2 and the
+    rest is its exact conjugate mirror, hat F(N - t) = conj hat F(t): both
+    halves of the returned vector agree bit for bit.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -53,11 +56,17 @@ def dft_indicator(A: Iterable[int], N: int) -> FourierData:
     bad = np.flatnonzero((idx < 1) | (idx > N))
     if len(bad):
         raise ValueError(f"set element {idx[bad[0]]} outside [1, N]")
-    vec = np.zeros(N, dtype=np.complex128)
+    vec = np.zeros(N, dtype=np.float64)
     vec[idx % N] = 1.0
-    values = np.fft.fft(vec, out=vec)
-    values /= N
-    return FourierData(N=N, values=values, source_size=len(idx))
+    size = len(idx)
+    del idx
+    h = N // 2 + 1
+    values = np.empty(N, dtype=np.complex128)
+    np.fft.rfft(vec, out=values[:h])
+    del vec
+    values[:h] /= N
+    np.conjugate(values[N - h : 0 : -1], out=values[h:])
+    return FourierData(N=N, values=values, source_size=size)
 
 
 @dataclass(frozen=True)

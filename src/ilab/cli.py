@@ -5,14 +5,16 @@ selftest.  The module-level COMMANDS table drives both the parser and the
 dispatch: each row names a subcommand, its handler, its data-outcome rule
 and its argument specs.  Handlers return a JSON payload (a dict) or CSV
 text; main() adds "command", serializes stable JSON (sorted keys, fixed
-indentation, no NaN/Infinity) and writes it.  Data outcomes (a violation
-found, a not-intersective verdict, a rejected construction, no increment,
-a failed acceptance check) exit 1, usage and I/O errors exit 2, resource
-guards exit 3, and any other exception exits 4 with one
-"internal error:" line on stderr, never a traceback.  All randomness flows
-from --seed (default 0), and computation is sequential with fixed-block
-accumulation, so output bytes depend only on the seed and the inputs.
---output names the output path ("-", the default, is stdout).
+indentation, no NaN/Infinity) in blocks of encoder chunks and writes the
+blocks once the last one is built, so a payload that fails to encode leaves
+no partial output.  Data outcomes (a violation found, a not-intersective
+verdict, a rejected construction, no increment, a failed acceptance check)
+exit 1, usage and I/O errors exit 2, resource guards exit 3, and any other
+exception exits 4 with one "internal error:" line on stderr, never a
+traceback.  All randomness flows from --seed (default 0), and computation is
+sequential with fixed-block accumulation, so output bytes depend only on the
+seed and the inputs.  --output names the output path ("-", the default, is
+stdout).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -60,6 +63,9 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+JSON_BLOCK = 2**16  # encoder chunks joined per output block
 
 
 def _csv(rows: list[dict], fields: list[str]) -> str:
@@ -219,11 +225,24 @@ def cmd_expsum_moment(args) -> dict:
     }
 
 
+def _top_frequencies(mags: np.ndarray, k: int) -> np.ndarray:
+    """The k frequencies t in [1, N) of largest mags[t], ties in ascending t:
+    np.argsort(-mags[1:], kind="stable")[:k] + 1 without sorting all N - 1.
+    Every t that ties the k-th largest magnitude is a candidate, so a stable
+    sort of the candidates breaks the ties as the full sort would."""
+    rest = mags[1:]
+    cand = np.arange(len(rest))
+    if len(rest) > k:
+        kth = np.partition(rest, len(rest) - k)[len(rest) - k]
+        cand = np.flatnonzero(rest >= kth)
+    return cand[np.argsort(-rest[cand], kind="stable")[:k]] + 1
+
+
 def cmd_circle_dft(args) -> dict:
     members, N = _members(args, "N")
     fd = dft_indicator(members, N)
     mags = np.abs(fd.values)
-    top = np.argsort(-mags[1:], kind="stable")[:8] + 1
+    top = _top_frequencies(mags, 8)
     lhs, rhs = fd.plancherel()
     return {
         "N": N,
@@ -450,13 +469,16 @@ def main(argv=None) -> int:
         out = handler(args)
         if isinstance(out, dict):
             out = {"command": group if command is None else f"{group}.{command}", **out}
-            text = json.dumps(out, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            chunks = JSON.iterencode(out)
+            # iterencode never yields "", so the first empty join is the end
+            blocks = [*iter(lambda: "".join(itertools.islice(chunks, JSON_BLOCK)), ""), "\n"]
         else:
-            text = out
+            blocks = [out]
         if args.output == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
         else:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as fh:
+                fh.writelines(blocks)
         return EXIT_DATA if fails is not None and fails(out) else EXIT_OK
     except (ResourceLimit, MemoryError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

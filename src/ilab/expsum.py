@@ -531,7 +531,10 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
 
     S(t) = (1/(w L)) sum_{n <= M, n in W(Y)} g'(n) e(g(n) t / L),
     with M = floor((L/(3 b))^(1/k)) for the leading coefficient b, and
-    w = prod (1 - j/p^gamma).  Computed with one length-L DFT.
+    w = prod (1 - j/p^gamma).  The weighted histogram is real, so one rfft
+    gives S(t) for t <= L/2 and S(L - t) = conj S(t) the rest: the sum runs
+    over that half, counting t = 0 once, 0 < t < L/2 twice and t = L/2 (L
+    even) once.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be a positive even integer")
@@ -545,17 +548,20 @@ def moment_sum(g: IntPolynomial, L: int, m: int, profile: SieveProfile) -> float
         raise ValueError("positive leading coefficient required")
     M = integer_nth_root(L // (3 * b), k)
     w = float(profile.density())
-    # complex from the start, so the transform runs in place
-    F = np.zeros(L, dtype=np.complex128)
+    F = np.zeros(L, dtype=np.float64)
     dg = g.derivative()
     n = np.flatnonzero(profile.mask(M + 1)[1:]) + 1
     weights = np.array([dg(t) for t in n.tolist()], dtype=np.float64)
     np.add.at(F, values_mod(g, n, L), weights)
-    np.fft.fft(F, out=F)
-    F /= w * L
-    # no conjugate: |conj z| = |z|
-    p2 = np.abs(F)
+    S = np.fft.rfft(F)
     del F
-    p2 *= p2
-    p2 **= m // 2
-    return float(np.sum(p2))
+    S /= w * L
+    # re^2 + im^2 rounds the same for S(t) and its conjugate S(L - t)
+    p = np.square(S.real)
+    p += np.square(S.imag)
+    del S
+    p **= m // 2
+    total = p[0] + 2 * np.sum(p[1 : (L + 1) // 2])
+    if L % 2 == 0:
+        total += p[L // 2]
+    return float(total)

@@ -23,13 +23,23 @@ from ilab.padic import ResourceLimit
 
 
 def loop_dft_indicator(A, N):
-    """Reference: the indicator filled element by element, then one FFT."""
+    """Reference: the indicator filled element by element, one rfft of it
+    divided by N, and the upper half written as the conjugate mirror."""
     vec = np.zeros(N, dtype=np.float64)
     count = 0
     for a in A:
         vec[a % N] = 1.0
         count += 1
-    return np.fft.fft(vec) / N, count
+    half = np.fft.rfft(vec) / N
+    return np.concatenate([half, np.conj(half[1 : N - len(half) + 1][::-1])]), count
+
+
+def complex_dft_indicator(A, N):
+    """Oracle: the complex transform of a complex indicator, which rounds
+    differently from the rfft."""
+    vec = np.zeros(N, dtype=np.complex128)
+    vec[np.array(A) % N] = 1.0
+    return np.fft.fft(vec) / N
 
 
 class TestDft:
@@ -93,6 +103,29 @@ class TestDft:
         values, count = loop_dft_indicator(A, N)
         assert fd.values.tobytes() == values.tobytes()
         assert fd.source_size == count == len(A)
+
+    @pytest.mark.parametrize("N", [1, 97, 1000, 3**7, 10**5 + 3, 2**21])
+    def test_complex_fft_oracle(self, N):
+        # the rfft and the complex FFT round differently, within the FFT's
+        # error bound 2^-52 |A| / N log2 N at every frequency
+        rng = random.Random(N)
+        A = [rng.randint(1, N) for _ in range(min(N, 5000))] + [N, N]
+        got = dft_indicator(A, N).values
+        bound = 2.0**-52 * len(set(A)) / N * math.log2(N)
+        assert float(np.max(np.abs(got - complex_dft_indicator(A, N)))) <= bound
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 97, 2**21])
+    def test_conjugate_mirror_is_exact(self, N):
+        # compare the values, not np.abs: complex abs can differ by 1 ulp
+        # between z and conj(z).  t = 0 and t = N/2 are their own mirrors,
+        # where the value is real
+        rng = random.Random(N + 1)
+        values = dft_indicator([rng.randint(1, N) for _ in range(min(N, 5000))], N).values
+        t = np.arange(1, (N + 1) // 2)
+        assert values[N - t].tobytes() == np.conj(values[t]).tobytes()
+        assert values[0].imag == 0
+        if N % 2 == 0:
+            assert values[N // 2].imag == 0
 
 
 class TestClassify:

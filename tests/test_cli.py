@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ import pytest
 from ilab.arith import primes_up_to
 from ilab.auxiliary import AuxiliaryFamily
 from ilab.circle import dft_indicator
-from ilab.cli import build_parser, main
+from ilab.cli import _top_frequencies, build_parser, main
 from ilab.poly import parse_poly
 from ilab.setio import SET_FILE_LIMIT, load_set, runs_of, save_dfset
 
@@ -398,6 +399,73 @@ class TestExitCodes:
         run_cli(capsys, "aux", "build", "--poly", "x^2", "--d", "4")
         run_cli(capsys, "aux", "build", "--poly", "x^2", "--d", "5")
         assert build_parser.cache_info().misses == 1
+
+
+class TestJsonBlocks:
+    ARGV = ("intersect", "check", "--poly", "(x^3-19)(x^2+x+1)", "--prime-bound", "3000",
+            "--depth", "6")
+
+    def test_blocks_join_to_the_one_shot_text(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("ilab.cli.JSON_BLOCK", 7)
+        code, out = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        path = tmp_path / "out.json"
+        assert main(["--output", str(path), *self.ARGV]) == 0
+        assert path.read_text() == out
+
+    def test_late_nan_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # "moment" comes after several blocks of one chunk each
+        monkeypatch.setattr("ilab.cli.JSON_BLOCK", 1)
+        monkeypatch.setattr("ilab.cli.moment_sum", lambda *_: float("nan"))
+        argv = ["expsum", "moment", "--poly", "x^2", "--L", "100", "--m", "2", "--Y", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        path = tmp_path / "out.json"
+        assert main(["--output", str(path), *argv]) == 2
+        assert not path.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_bounded_memory(self):
+        # 10 MB of indented JSON: encoded in one piece (a list of millions of
+        # small strings before the join) the child peaked near 125 MB, in
+        # blocks near 67 MB.  The child reads its own VmHWM: ru_maxrss would
+        # carry over this test process's peak
+        code = (
+            "import os\n"
+            "from ilab.cli import main\n"
+            "argv = ['intersect', 'check', '--poly', '(x^3-19)(x^2+x+1)',\n"
+            "        '--prime-bound', '400000', '--depth', '6']\n"
+            "assert main(['--output', os.devnull, *argv]) == 0\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(status.split()[0])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert int(out.stdout) / 1024 < 95  # VmHWM is in kB
+
+
+class TestTopFrequencies:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 9, 1000, 7 * 2**10, 2**16 + 1])
+    @pytest.mark.parametrize("kind", ["random", "mult7"])
+    def test_matches_the_stable_full_sort(self, N, kind):
+        # the multiples of 7 tie exactly at t and N - t, and at 7 | N in
+        # exact zeros; N <= 9 leaves fewer than 8 candidates
+        rng = random.Random(N)
+        if kind == "mult7":
+            members = list(range(7, N + 1, 7)) or [N]
+        else:
+            members = [n for n in range(1, N + 1) if rng.random() < 0.3] or [N]
+        mags = np.abs(dft_indicator(members, N).values)
+        want = np.argsort(-mags[1:], kind="stable")[:8] + 1
+        assert _top_frequencies(mags, 8).tolist() == want.tolist()
+
+    def test_all_tied(self):
+        mags = np.array([1.0] + [0.5] * 20)
+        assert _top_frequencies(mags, 8).tolist() == list(range(1, 9))
 
 
 class TestSchema:

@@ -676,20 +676,40 @@ class TestMinorAudits:
         assert sieved_minor_audit(g, RationalPoint(a, q), X, Y, Z).bound.hex() == bound
 
 
-def reference_moment_sum(g, L, m, profile):
-    """moment_sum transforming a float histogram out of place, with a
-    conjugate, a scaled copy and two float copies: the reference for the
-    in-place complex transform."""
+def moment_histogram(g, L, profile):
+    """(F, w): the g'-weighted histogram of g(n) mod L over the sieved
+    n <= M, and the sieve density w."""
     M = integer_nth_root(L // (3 * g.leading), g.degree)
-    w = float(profile.density())
     F = np.zeros(L, dtype=np.float64)
     dg = g.derivative()
     n = np.flatnonzero(profile.mask(M + 1)[1:]) + 1
     weights = np.array([dg(t) for t in n.tolist()], dtype=np.float64)
     np.add.at(F, values_mod(g, n, L), weights)
-    S = np.conj(np.fft.fft(F)) / (w * L)
-    p2 = np.abs(S) ** 2
-    return float(np.sum(p2 ** (m // 2)))
+    return F, float(profile.density())
+
+
+def reference_moment_sum(g, L, m, profile):
+    """The explicit full-spectrum sum: the rfft mirrored to all of Z_L by
+    S(L - t) = conj S(t), |S(t)|^m at every t, summed as t = 0, then the
+    lower interior 0 < t < L/2 plus the upper one L/2 < t < L (read from
+    L - 1 down, so each term meets its mirror), then t = L/2 for even L."""
+    F, w = moment_histogram(g, L, profile)
+    half = np.fft.rfft(F) / (w * L)
+    S = np.concatenate([half, np.conj(half[1 : L - len(half) + 1][::-1])])
+    p = (S.real * S.real + S.imag * S.imag) ** (m // 2)
+    mid = (L + 1) // 2
+    total = p[0] + (np.sum(p[1:mid]) + np.sum(p[L - 1 : L - mid : -1]))
+    if L % 2 == 0:
+        total += p[L // 2]
+    return float(total)
+
+
+def complex_moment_sum(g, L, m, profile):
+    """Oracle: the complex FFT of the histogram over all L frequencies, which
+    rounds differently from the rfft."""
+    F, w = moment_histogram(g, L, profile)
+    S = np.fft.fft(F.astype(np.complex128)) / (w * L)
+    return float(np.sum(np.abs(S) ** m))
 
 
 class TestMomentSum:
@@ -700,6 +720,34 @@ class TestMomentSum:
         for m in (2, 4, 6):
             got = moment_sum(g, L, m, pr)
             assert got.hex() == reference_moment_sum(g, L, m, pr).hex(), m
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 10**3, 10**5 + 3, 10**6])
+    @pytest.mark.parametrize("g", [X2, H2], ids=["x^2", "2x^2-5x+3"])
+    def test_complex_fft_oracle(self, g, L):
+        pr = SieveProfile.build(g, 10)
+        for m in (2, 4, 6):
+            got, want = moment_sum(g, L, m, pr), complex_moment_sum(g, L, m, pr)
+            assert abs(got - want) <= 64 * 2.0**-52 * want, m
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_bounded_memory(self):
+        # with numpy 2.4 the complex transform of a complex histogram (not in
+        # place) peaked near 123 MB, the rfft of the float histogram near
+        # 83 MB.  The child reads its own VmHWM, as in TestStreamedWeylSum
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = (
+            "import os\n"
+            "from ilab.cli import main\n"
+            "argv = ['expsum', 'moment', '--poly', 'x^2', '--L', '2000000', '--m', '6', '--Y', '10']\n"
+            "assert main(['--output', os.devnull, *argv]) == 0\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(status.split()[0])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) / 1024 < 100  # VmHWM is in kB
 
     def test_single_term(self):
         # L in [3, 11] forces M = 1: the sum collapses to L * (g'(1)/(w L))^m
