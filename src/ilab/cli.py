@@ -197,8 +197,8 @@ def cmd_expsum_major(args) -> dict:
     res = major_arc_asymptotic(g, pt, args.beta, args.X, profile)
     return {
         "poly": g.to_json(),
-        "a": args.a,
-        "q": args.q,
+        "a": pt.a,
+        "q": pt.q,
         "beta": args.beta,
         "X": args.X,
         "Y": args.Y,

@@ -9,14 +9,15 @@ moment sums of the normalized inner-iteration Weyl sum.
 Phase policy: every exponential is exp(2 pi i f) of one fraction f computed
 exactly and rounded once; beta is the dyadic rational its double is.  A
 Weyl-sum phase at alpha = a/q + beta = A/Q is frac(g(n)*alpha) (_phases).
-The table e(k/Q) (_roots) makes the same float operations on f = k/Q, so a
-complete sum mod q, and a chunk of at least Q Weyl terms, reads the term of
-the exact class k from it: the same bits as exp(2 pi i _phases).  A beta = 0
-Weyl sum whose period L = lcm(q, sieve wheel) X covers is
-sum_k C_k e(k/q), the exact integer class weights C_k summed over one
-period (_periodic_weyl_sum), each rounded once.  The
-oscillatory integral is e(m - round(m)) at the exact midpoint phase m of its
-ends times a real factor, an exact fraction rounded once.
+The table e(k/q) (_roots) makes the same float operations on f = k/q: the
+same bits as exp(2 pi i _phases) at the class k.  A complete sum mod q reads
+it, and so does a beta = 0 Weyl sum with q <= WEYL_CHUNK: with the period
+L = lcm(q, sieve wheel) it is sum_k C_k e(k/q), the class weights C_k
+summed over min(X, L) residues (_periodic_weyl_sum): exact int64 integers
+each rounded once, or float64 sums where int64 could overflow.  Every other
+Weyl sum streams exp(2 pi i _phases) term by term.  The oscillatory
+integral is e(m - round(m)) at the exact midpoint phase m of its ends
+times a real factor, an exact fraction rounded once.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ MOMENT_LIMIT = 2 * 10**6
 WEYL_CHUNK = 2**18
 DEFAULT_BLOCK = 4096
 AUDIT_SAMPLES = 10
-# weyl_sum sums one period L at beta = 0 once PERIOD_COST * L + PERIOD_OVERHEAD
-# <= X: a residue of the period costs about one streamed term, plus a fixed
-# cost near 2000 streamed terms (timed on a 2-core box)
-PERIOD_COST = 2
-PERIOD_OVERHEAD = 2048
 ONE = IntPolynomial([1])
 
 
@@ -230,31 +226,6 @@ def _phases(g: IntPolynomial, a: int, q: int, beta: float, n: np.ndarray) -> np.
     return (g(n.astype(object)) * A % Q / Q).astype(np.float64)
 
 
-def _weyl_terms(
-    g: IntPolynomial,
-    dg: Optional[IntPolynomial],
-    pt: RationalPoint,
-    beta: float,
-    n: np.ndarray,
-    roots: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, float]:
-    """The terms [g'(n)] e(g(n) (a/q + beta)) at the int64 integers n, and
-    their mass.  With a/q + beta = A/Q and Q <= len(n), the terms are read
-    from the table _roots(Q) (roots, when the caller holds it) at the exact
-    classes g(n) A mod Q, from at most as many exponentials (and
-    Q <= len(n) <= WEYL_CHUNK keeps them in int64 Horner)."""
-    A, Q = _exact_alpha(pt.a, pt.q, beta)
-    if Q <= len(n):
-        terms = (_roots(Q) if roots is None else roots)[values_mod(g, n, Q) * (A % Q) % Q]
-    else:
-        terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
-    if dg is None:
-        return terms, float(len(n))
-    # derivative values fit a double exactly through 2^53; desk scale
-    acc = dg(n.astype(np.float64))
-    return terms * acc, float(np.sum(np.abs(acc)))
-
-
 def _streamed_weyl_sum(
     g: IntPolynomial,
     pt: RationalPoint,
@@ -263,17 +234,14 @@ def _streamed_weyl_sum(
     weighted: bool,
     beta: float,
 ) -> ExpSumResult:
-    """The Weyl sum over every term n <= X.
+    """The Weyl sum over every term [g'(n)] exp(2 pi i _phases), n <= X.
 
     The terms are generated WEYL_CHUNK integers at a time and summed in
     blocks of DEFAULT_BLOCK, the remainder of a chunk carrying into the next,
     and the block sums are added pairwise: memory stays bounded, and the
-    value is the one this blocking gives over all terms held at once.  The
-    table e(k/Q) is built once, at the first chunk that reads it.
+    value is the one this blocking gives over all terms held at once.
     """
     dg = g.derivative() if weighted else None
-    Q = _exact_alpha(pt.a, pt.q, beta)[1]
-    roots = None
     leaves: list[complex] = []
     carry = np.zeros(0, dtype=np.complex128)
     n_terms, mass = 0, 0.0
@@ -281,11 +249,15 @@ def _streamed_weyl_sum(
         n = np.arange(lo, min(lo + WEYL_CHUNK, X + 1), dtype=np.int64)
         if profile is not None:
             n = n[profile.mask(len(n), lo=lo)]
-        if roots is None and Q <= len(n):
-            roots = _roots(Q)
-        terms, chunk_mass = _weyl_terms(g, dg, pt, beta, n, roots)
+        terms = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
         n_terms += len(n)
-        mass += chunk_mass
+        if dg is None:
+            mass += len(n)
+        else:
+            # derivative values fit a double exactly through 2^53; desk scale
+            acc = dg(n.astype(np.float64))
+            terms *= acc
+            mass += float(np.sum(np.abs(acc)))
         terms = np.concatenate((carry, terms))
         full = len(terms) - len(terms) % DEFAULT_BLOCK
         leaves.extend(
@@ -302,16 +274,16 @@ def _streamed_weyl_sum(
     ).check_trivial_bound(mass)
 
 
-def _period_weights(dg: IntPolynomial, L: int, X: int) -> Optional[IntPolynomial]:
-    """W for the class weights of a period L <= X, or None past int64.
+def _period_weights(dg: IntPolynomial, L: int, X: int) -> tuple[IntPolynomial, int]:
+    """W for the class weights of the period L, and a bound on their sums.
 
     With c = X // L, the terms n = r + mL (m < c) of a residue r in [1, L]
     weigh W(r) = sum_{m < c} dg(r + mL).  h(m) = dg(x + mL) has len(dg.coeffs)
     coefficients in the Newton basis binom(m, i), the forward differences
     Delta^i h(0), so W = sum_i binom(c, i + 1) Delta^i h(0): a polynomial
-    with exact integer coefficients.  None unless int64 holds every partial
-    sum exactly (Horner of W at r <= L, of dg at n <= X, and a class sum, at
-    most sum_{n <= X} |dg(n)|).
+    with exact integer coefficients, zero when c = 0.  The bound covers every
+    partial sum: Horner of W at r <= L, of dg at n <= X, and a class sum, at
+    most sum_{n <= X} |dg(n)|.
     """
     c = X // L
     h = [shift_scale(dg, m * L, 1, 1) for m in range(len(dg.coeffs))]
@@ -322,42 +294,58 @@ def _period_weights(dg: IntPolynomial, L: int, X: int) -> Optional[IntPolynomial
     bound = sum(abs(w) * L**t for t, w in enumerate(W.coeffs)) + X * sum(
         abs(d) * X**j for j, d in enumerate(dg.coeffs)
     )
-    return W if bound < 2**63 else None
+    return W, bound
 
 
 def _periodic_weyl_sum(
     g: IntPolynomial,
     pt: RationalPoint,
     X: int,
-    L: int,
     profile: Optional[SieveProfile],
-    dg: IntPolynomial,
-    W: IntPolynomial,
+    weighted: bool,
 ) -> ExpSumResult:
-    """The beta = 0 Weyl sum of dg(n) e(g(n) a/q) from one period L <= X.
+    """The beta = 0 Weyl sum of [g'(n)] e(g(n) a/q) as sum_k C_k e(k/q).
 
-    q | L and membership in W(Y) has period L, so the n = r + mL <= X of a
-    residue r in [1, L] share the class g(r) a mod q and weigh W(r), plus
-    dg(r + cL) when r <= X mod L.  The residues are taken WEYL_CHUNK at a
-    time, so memory stays bounded as in the stream.  The class weights C_k
-    are exact int64 sums, each rounded once and dotted with _roots(q), as
-    in complete_sum.
+    q | L = lcm(q, wheel) and membership in W(Y) has period L, so with
+    X = cL + rem the n = r + mL <= X of a residue r in [1, min(X, L)] share
+    the class g(r) a mod q and weigh W(r) (_period_weights), plus
+    dg(r + cL) when r <= rem.  The residues are taken WEYL_CHUNK at a time,
+    so memory stays bounded as in the stream.  While the bound of
+    _period_weights is below 2^63 the class weights C_k are exact int64
+    sums, each rounded once.  Past it the weights are float64, each split
+    as hi + lo with hi a multiple of step: every partial sum of the hi
+    parts stays below 2^53 step, so they add exactly, and only the small lo
+    parts round.  The C_k are dotted with _roots(q), as in complete_sum.
     """
+    X = max(X, 0)  # no term below n = 1
+    L = pt.q if profile is None else math.lcm(pt.q, profile.wheel)
+    dg = g.derivative() if weighted else ONE
+    W, bound = _period_weights(dg, L, X)
+    exact = bound < 2**63
+    step = 2.0 ** max(bound.bit_length() - 52, 0)
     c, rem = divmod(X, L)
-    hist = np.zeros(pt.q, dtype=np.int64)
+    T = min(X, L)
+    hist = np.zeros(pt.q, dtype=np.int64 if exact else np.float64)
+    low = np.zeros(pt.q)
     n_terms, mass = 0, 0
-    for lo in range(1, L + 1, WEYL_CHUNK):
-        r = np.arange(lo, min(lo + WEYL_CHUNK, L + 1), dtype=np.int64)
+    for lo in range(1, T + 1, WEYL_CHUNK):
+        r = np.arange(lo, min(lo + WEYL_CHUNK, T + 1), dtype=np.int64)
         if profile is not None:
             r = r[profile.mask(len(r), lo=lo)]
         tail = r <= rem  # r + cL <= X
-        weights = np.zeros(len(r), dtype=np.int64) + W(r)
-        weights[tail] += dg(r[tail] + c * L)
-        np.add.at(hist, values_mod(g, r, pt.q) * pt.a % pt.q, weights)
+        x = r if exact else r.astype(np.float64)
+        weights = np.zeros(len(r), dtype=hist.dtype) + W(x)
+        weights[tail] += dg(x[tail] + c * L)
+        classes = values_mod(g, r, pt.q) * pt.a % pt.q
         n_terms += c * len(r) + int(np.count_nonzero(tail))
-        mass += int(np.abs(weights).sum())
+        mass += np.abs(weights).sum().item()
+        if not exact:
+            hi = np.round(weights / step) * step
+            np.add.at(low, classes, weights - hi)
+            weights = hi
+        np.add.at(hist, classes, weights)
     return ExpSumResult(
-        value=complex(np.dot(hist.astype(np.float64), _roots(pt.q))),
+        value=complex(np.dot(hist.astype(np.float64) + low, _roots(pt.q))),
         n_terms=n_terms,
         est_abs_error=max(mass, 1) * 2.0**-46,
     ).check_trivial_bound(float(mass))
@@ -380,19 +368,13 @@ def weyl_sum(
     [g'(n)] * e(g(n) * (a/q + beta)).
 
     At beta = 0 the terms repeat with the period L = lcm(q, profile.wheel),
-    and a period that X covers often enough to repay it (PERIOD_COST), with
-    q <= WEYL_CHUNK and int64 class weights, is summed once
-    (_periodic_weyl_sum); otherwise every term is streamed
+    and every sum with q <= WEYL_CHUNK is the class-weight sum over
+    min(X, L) residues (_periodic_weyl_sum); the others stream every term
     (_streamed_weyl_sum).
     """
     _check_weyl_limit(X)
     if beta == 0.0 and pt.q <= WEYL_CHUNK:
-        L = pt.q if profile is None else math.lcm(pt.q, profile.wheel)
-        if PERIOD_COST * L + PERIOD_OVERHEAD <= X:
-            dg = g.derivative() if weighted else ONE
-            W = _period_weights(dg, L, X)
-            if W is not None:
-                return _periodic_weyl_sum(g, pt, X, L, profile, dg, W)
+        return _periodic_weyl_sum(g, pt, X, profile, weighted)
     return _streamed_weyl_sum(g, pt, X, profile, weighted, beta)
 
 

@@ -8,11 +8,12 @@ coefficients of g' in the Newton basis binom(x, i), so gamma(p) is
 1 + v_p(G).  W(Y) keeps the inputs avoiding all those root classes for
 p <= Y; W^q(Y) relaxes to the primes whose p^gamma divides q.
 
-Counting is exact.  Membership in W(Y) has the period L = wheel, so
-|[1, X] cap W(Y)| = c S(T) + S(X mod L) with T = min(X, L), c = X // L
-and S(t) the members in [1, t]: while T <= COUNT_SPAN_LIMIT this is one
-masked pass over [1, T], COUNT_CHUNK residues at a time.  Past it (X huge
-and few active primes), CRT inclusion-exclusion over the root classes
+Counting is exact.  Membership in W(Y) has the period L = wheel, and by CRT
+one period holds prod (p^gamma - j) members over the primes with roots, so
+|[1, X] cap W(Y)| = c prod (p^gamma - j) + S(rem) with X = cL + rem and
+S(t) the members in [1, t]: while rem <= COUNT_SPAN_LIMIT, S(rem) is one
+masked pass over [1, rem], COUNT_CHUNK residues at a time.  Past it (a huge
+wheel and few active primes), CRT inclusion-exclusion over the root classes
 counts instead, capped at COUNT_NODE_LIMIT nodes.
 """
 
@@ -30,8 +31,8 @@ from .poly import IntPolynomial
 
 COUNT_NODE_LIMIT = 10**7
 # a masked count over 2^24 residues takes at most about 15 ms at Y <= 150
-# (timed on a 2-core box); past that span, inclusion-exclusion is the faster
-# count in the inputs that reach it (huge X, few active primes)
+# (timed on a 2-core box); past that span, inclusion-exclusion counts the
+# members in [1, X mod wheel] instead
 COUNT_SPAN_LIMIT = 2**24
 COUNT_CHUNK = 2**18
 PATTERN_LIMIT = 2**14
@@ -164,31 +165,24 @@ def _count_avoiding(items: list[tuple[int, tuple[int, ...]]], X: int) -> int:
     return rec(0, 0, 1)
 
 
-def _masked_count(profile: SieveProfile, X: int) -> int:
-    """|[1, X] cap W(Y)| from one masked pass over [1, T], T = min(X, L):
-    with X = cL + rem, the count is c S(T) + S(rem), and S(rem) is read on
-    the way (S(rem) = S(T) when c = 0)."""
-    L = profile.wheel
-    c, rem = divmod(X, L)
-    T = min(X, L)
-    period = head = 0
-    for lo in range(1, T + 1, COUNT_CHUNK):
-        m = profile.mask(min(COUNT_CHUNK, T + 1 - lo), lo=lo)
-        if lo <= rem < lo + len(m):
-            head = period + int(np.count_nonzero(m[: rem + 1 - lo]))
-        period += int(np.count_nonzero(m))
-    return c * period + head
+def _masked_count(profile: SieveProfile, t: int) -> int:
+    """|[1, t] cap W(Y)| from one masked pass, COUNT_CHUNK residues at a time."""
+    return sum(
+        int(np.count_nonzero(profile.mask(min(COUNT_CHUNK, t + 1 - lo), lo=lo)))
+        for lo in range(1, t + 1, COUNT_CHUNK)
+    )
 
 
 def enumerate_w(profile: SieveProfile, X: int) -> int:
-    """Exact |[1, X] cap W(Y)|: one masked pass over min(X, wheel) residues
-    while that span is at most COUNT_SPAN_LIMIT, CRT inclusion-exclusion
-    over the per-prime root classes past it (exact integers either way)."""
+    """Exact |[1, X] cap W(Y)| = c prod (p^gamma - j) + S(rem) for
+    X = c wheel + rem: S(rem) is one masked pass while rem <= COUNT_SPAN_LIMIT,
+    CRT inclusion-exclusion over the root classes past it."""
     if X < 1:
         return 0
-    if min(X, profile.wheel) <= COUNT_SPAN_LIMIT:
-        return _masked_count(profile, X)
-    return _count_avoiding(list(profile._active()), X)
+    active = list(profile._active())
+    c, rem = divmod(X, profile.wheel)
+    head = _masked_count(profile, rem) if rem <= COUNT_SPAN_LIMIT else _count_avoiding(active, rem)
+    return c * math.prod(pg - len(roots) for pg, roots in active) + head
 
 
 @dataclass

@@ -99,7 +99,7 @@ class TestExitCodes:
         assert code == 3
 
     def test_exact_count_node_guard_exits_three(self, capsys, monkeypatch):
-        # min(X, wheel) = 10^12 is past COUNT_SPAN_LIMIT: inclusion-exclusion counts
+        # X mod wheel = 10^12 is past COUNT_SPAN_LIMIT: inclusion-exclusion counts
         monkeypatch.setattr("ilab.sieve.COUNT_NODE_LIMIT", 1000)
         code = main(["sieve", "count", "--poly", "x^2", "--Y", "66", "--X", "1000000000000"])
         captured = capsys.readouterr()
@@ -220,6 +220,16 @@ class TestExitCodes:
         assert code == 0 and payload["vdc_ok"] and payload["in_regime"]
         for key in ("main_re", "main_im", "actual_re", "actual_im", "abs_err"):
             assert payload[key] == pytest.approx(at_zero[key], rel=1e-12), key
+
+    @pytest.mark.parametrize("a, q, reduced", [("4", "3", 1), ("1", "1", 0), ("-2", "5", 3)])
+    def test_major_echoes_the_point_it_summed_at(self, capsys, a, q, reduced):
+        # -a is taken mod q, as expsum complete reports it
+        argv = ("--poly", "x^2", "-a", a, "-q", q)
+        code, out = run_cli(capsys, "expsum", "major", *argv, "--beta", "0", "--X", "100", "--Y", "5")
+        _, complete = run_cli(capsys, "expsum", "complete", *argv)
+        payload = json.loads(out)
+        assert code == 0 and (payload["a"], payload["q"]) == (reduced, int(q))
+        assert json.loads(complete)["a"] == reduced
 
     def test_small_turn_major_arc_keeps_its_imaginary_part(self, capsys):
         # t = beta (g(X) - g(0)) = 1e-9: the main term's imaginary part is

@@ -17,8 +17,6 @@ import pytest
 
 from ilab.expsum import (
     DEFAULT_BLOCK,
-    PERIOD_COST,
-    PERIOD_OVERHEAD,
     WEYL_CHUNK,
     RationalPoint,
     ResourceLimit,
@@ -31,7 +29,6 @@ from ilab.expsum import (
     _phases,
     _roots,
     _streamed_weyl_sum,
-    _weyl_terms,
     major_arc_asymptotic,
     moment_sum,
     oscillatory_integral,
@@ -286,14 +283,14 @@ class TestWeylSum:
 class TestRootTable:
     @pytest.mark.parametrize("Q", [1, 2, 3, 7, 97, 1000, 4096, 65537])
     def test_complete_sum_and_weyl_tables_are_the_same_bytes(self, Q):
-        # g = x at 1/Q reads the whole table in order; the direct route
-        # exp(2 pi i _phases) must give the same bytes too
+        # g = x at 1/Q reads the whole table in order, the table that
+        # complete sums and class-weight Weyl sums dot with; the direct
+        # route exp(2 pi i _phases) of a streamed term gives the same bytes
         x = IntPolynomial([0, 1])
         n = np.arange(Q, dtype=np.int64)
         _, table = _phase_table(x, Q, None)
-        terms, _ = _weyl_terms(x, None, RationalPoint(1 % Q, Q), 0.0, n)
         direct = np.exp(2j * np.pi * _phases(x, 1 % Q, Q, 0.0, n))
-        assert table.tobytes() == terms.tobytes() == direct.tobytes()
+        assert table.tobytes() == _roots(Q).tobytes() == direct.tobytes()
 
 
 def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
@@ -381,7 +378,7 @@ class TestStreamedWeylSum:
         # own VmHWM: ru_maxrss would carry over the peak of this test process,
         # which a child inherits through fork and exec.  At q = 3 weyl_sum
         # sums one period of 420, at q = 19997 one of 8398740 in chunks; at
-        # q = 10000019 the period passes X and every term is streamed
+        # q = 10000019, past WEYL_CHUNK, every term is streamed
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         for q in (3, 19997, 10000019):
@@ -417,23 +414,20 @@ def brute_class_weights(g, pt, X, profile, weighted):
     return C, n_terms
 
 
-def periodic_sum(g, pt, X, profile, weighted):
-    """_periodic_weyl_sum over the wheel period, whatever weyl_sum's cost
-    rule would pick."""
-    L = wheel_period(pt.q, profile)
-    dg = g.derivative() if weighted else ONE
-    return _periodic_weyl_sum(g, pt, X, L, profile, dg, _period_weights(dg, L, X))
-
-
 def assert_class_weights(g, pt, X, profile, weighted):
-    """The periodic sum against the brute-force class weights: n_terms
-    exactly, the value as sum float(C_k) e(k/q) bit for bit, and the
-    streamed sum within est_abs_error."""
+    """The class-weight sum against the brute-force class weights: n_terms
+    exactly, and the value as sum float(C_k) e(k/q), bit for bit while the
+    bound of _period_weights keeps them in int64 and within est_abs_error
+    past it; and the streamed sum within est_abs_error."""
     C, n_terms = brute_class_weights(g, pt, X, profile, weighted)
     want = complex(np.dot(np.array([float(c) for c in C]), _roots(pt.q)))
-    res = periodic_sum(g, pt, X, profile, weighted)
+    res = _periodic_weyl_sum(g, pt, X, profile, weighted)
     assert res.n_terms == n_terms
-    assert (res.value.real.hex(), res.value.imag.hex()) == (want.real.hex(), want.imag.hex())
+    dg = g.derivative() if weighted else ONE
+    if _period_weights(dg, wheel_period(pt.q, profile), X)[1] < 2**63:
+        assert (res.value.real.hex(), res.value.imag.hex()) == (want.real.hex(), want.imag.hex())
+    else:
+        assert abs(res.value - want) <= res.est_abs_error
     streamed = _streamed_weyl_sum(g, pt, X, profile, weighted, 0.0)
     assert streamed.n_terms == n_terms
     assert abs(res.value - streamed.value) <= res.est_abs_error
@@ -456,7 +450,8 @@ class TestPeriodicWeylSum:
             if L > 3000:  # keeps the Python-int oracle quick
                 continue
             count -= 1
-            for X in (L, 2 * L - 1, 2 * L, 2 * L + 1, rng.randint(L, 6 * L)):
+            # X < L leaves c = 0: every residue up to X is a tail term
+            for X in (rng.randint(0, L - 1), L, 2 * L - 1, 2 * L, 2 * L + 1, rng.randint(1, 6 * L)):
                 yield g, RationalPoint(a, q), X, profile
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -480,41 +475,67 @@ class TestPeriodicWeylSum:
         # chunk that divides no period) give the sum of one whole chunk
         for weighted in (False, True):
             for g, pt, X, profile in self.cases(605 + weighted, 20):
-                whole = periodic_sum(g, pt, X, profile, weighted)
+                whole = _periodic_weyl_sum(g, pt, X, profile, weighted)
                 with monkeypatch.context() as m:
                     m.setattr("ilab.expsum.WEYL_CHUNK", 37)
-                    assert periodic_sum(g, pt, X, profile, weighted) == whole
+                    assert _periodic_weyl_sum(g, pt, X, profile, weighted) == whole
 
-    def test_cost_rule_picks_the_path(self):
-        # a period of 420 that X covers many times is summed once; a
-        # period past X, q past WEYL_CHUNK, or class weights past int64
-        # stream
+    @pytest.mark.parametrize(
+        "poly, Y, X",
+        [("7x^5", 5, 5 * 10**5),  # the class sums reach 2e28
+         ("x^3", 10, 2 * 10**6)],  # sum_{n <= X} 3n^2 bound: 2.4e19
+    )
+    def test_float_weights_past_int64(self, poly, Y, X):
+        g, pt = parse_poly(poly), RationalPoint(1, 3)
+        profile = SieveProfile.build(g, Y)
+        assert _period_weights(g.derivative(), wheel_period(3, profile), X)[1] >= 2**63
+        C, n_terms = brute_class_weights(g, pt, X, profile, True)
+        want = complex(np.dot(np.array([float(c) for c in C]), _roots(3)))
+        res = weyl_sum(g, pt, X, profile, weighted=True)
+        assert res.n_terms == n_terms
+        assert abs(res.value - want) <= res.est_abs_error
+
+    def test_float_weights_add_without_drift(self):
+        # 315888 members of one class (q = 1, a wheel past X): added one
+        # after another in float64 the weights drift 1.2e-13 relative, eight
+        # times est_abs_error; the class sum is the exact sum of
+        # g'(n) = 3n^2 rounded once, within one ulp
+        g, X = X3, 2 * 10**6
+        profile = SieveProfile.build(g, 30)
+        assert profile.wheel > X and _period_weights(g.derivative(), profile.wheel, X)[1] >= 2**63
+        n = np.flatnonzero(profile.mask(X + 1)[1:]) + 1
+        exact = int(np.sum(3 * n.astype(object) ** 2))
+        res = weyl_sum(g, RationalPoint(0, 1), X, profile, weighted=True)
+        assert res.n_terms == len(n) and res.value.imag == 0
+        assert abs(res.value.real - exact) <= 2.0**-52 * exact
+
+    @pytest.mark.parametrize("X", [0, -5])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_empty_below_one(self, X, beta):
         profile = SieveProfile.build(X2, 10)
-        X = 10**6
-        assert weyl_sum(X2, RationalPoint(1, 3), X, profile, weighted=True) == periodic_sum(
-            X2, RationalPoint(1, 3), X, profile, True
-        )
-        big = RationalPoint(1, 10007)  # L = 4202940 > X
-        assert weyl_sum(X2, big, X, profile, weighted=True) == _streamed_weyl_sum(
-            X2, big, X, profile, True, 0.0
-        )
-        wide = RationalPoint(1, WEYL_CHUNK + 3)  # prime, L = q, X > 2L
-        assert weyl_sum(X2, wide, 6 * 10**5) == _streamed_weyl_sum(
-            X2, wide, 6 * 10**5, None, False, 0.0
-        )
-        # 7x^5 at X = 5 10^5: the class sums reach 2e28
-        g, X = parse_poly("7x^5"), 5 * 10**5
-        profile5 = SieveProfile.build(g, 5)
-        assert _period_weights(g.derivative(), wheel_period(3, profile5), X) is None
-        assert weyl_sum(g, RationalPoint(1, 3), X, profile5, weighted=True) == _streamed_weyl_sum(
-            g, RationalPoint(1, 3), X, profile5, True, 0.0
-        )
-        # the smallest X the rule sends to the period, and one less
-        edge = PERIOD_COST * 420 + PERIOD_OVERHEAD
-        for X, periodic in ((edge - 1, False), (edge, True)):
-            path = periodic_sum if periodic else _streamed_weyl_sum
-            args = (X2, RationalPoint(1, 3), X, profile, False) + (() if periodic else (0.0,))
-            assert weyl_sum(X2, RationalPoint(1, 3), X, profile) == path(*args)
+        res = weyl_sum(X2, RationalPoint(1, 3), X, profile, weighted=True, beta=beta)
+        assert (res.value, res.n_terms) == (0j, 0)
+
+    def test_routes_on_beta_and_q(self):
+        # beta = 0 with q <= WEYL_CHUNK sums class weights whatever X and L
+        # are; beta != 0 or q past WEYL_CHUNK streams
+        profile = SieveProfile.build(X2, 10)  # wheel 420
+        routes = [
+            (X2, RationalPoint(1, 3), 10**6, profile, 0.0, True),  # X covers L = 420
+            (X2, RationalPoint(1, 3), 1000, profile, 0.0, True),  # X < 2L
+            (X2, RationalPoint(1, 10007), 10**6, profile, 0.0, True),  # L = 4202940 > X
+            (parse_poly("7x^5"), RationalPoint(1, 3), 5 * 10**5,
+             SieveProfile.build(parse_poly("7x^5"), 5), 0.0, True),  # float64 weights
+            (X2, RationalPoint(1, WEYL_CHUNK), 10**5, None, 0.0, True),
+            (X2, RationalPoint(1, WEYL_CHUNK + 3), 6 * 10**5, None, 0.0, False),
+            (X2, RationalPoint(1, 3), 10**5, profile, 1e-9, False),
+            (X2, RationalPoint(1, 3), 10**5, profile, 0.5, False),
+        ]
+        for g, pt, X, pr, beta, periodic in routes:
+            for weighted in (False, True):
+                want = (_periodic_weyl_sum(g, pt, X, pr, weighted) if periodic
+                        else _streamed_weyl_sum(g, pt, X, pr, weighted, beta))
+                assert weyl_sum(g, pt, X, pr, weighted, beta) == want, (pt, X, beta)
 
 
 class TestOscillatoryIntegral:

@@ -31,7 +31,7 @@ from ilab.auxiliary import AuxiliaryFamily, content_bound_audit  # noqa: E402
 from ilab.circle import correlation_counts  # noqa: E402
 import ilab.diffsets as diffsets  # noqa: E402
 from ilab.diffsets import _greedy_passes, _pick_restart, _random_orders, greedy  # noqa: E402
-from ilab.expsum import WEYL_CHUNK, WEYL_LIMIT, RationalPoint, _phases, _weyl_terms  # noqa: E402
+from ilab.expsum import RationalPoint, _phases  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
     NoRootToDepth,
@@ -469,42 +469,11 @@ def test_local_content_audit_matches_the_per_d_walk(h, d_max, depth):
 
 
 @st.composite
-def weyl_table_case(draw):
-    """g, a reduced a/q, a beta whose denominator keeps Q = q den(beta) small,
-    and at least Q consecutive or strided int64 points n from a chunk offset
-    up to WEYL_LIMIT: the inputs on which _weyl_terms reads its root table."""
-    g = IntPolynomial(draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5)))
-    q = draw(st.integers(1, 60))
-    a = draw(st.sampled_from([x for x in range(q) if math.gcd(x, q) == 1]))
-    beta = draw(st.sampled_from([0.0, 0.0, 0.5, -0.25, 2.0**-6]))
-    Q = q * beta.as_integer_ratio()[1]
-    lo = draw(st.sampled_from([1, WEYL_CHUNK + 1, 10**7 - 3, WEYL_LIMIT - 20000]))
-    stride = draw(st.integers(1, 3))
-    count = draw(st.integers(Q, Q + 2000))
-    n = np.arange(lo, lo + stride * count, stride, dtype=np.int64)
-    return g, RationalPoint(a, q), beta, n
-
-
-@PROPERTY
-@given(weyl_table_case())
-@example((IntPolynomial([0, 0, 1]), RationalPoint(1, 3), 0.0,
-          np.arange(3 * 10**7 - 4096, 3 * 10**7 + 1, dtype=np.int64)))
-@example((IntPolynomial([0, 0, 0, 1]), RationalPoint(0, 1), 0.0, np.arange(1, 2, dtype=np.int64)))
-@example((IntPolynomial([5]), RationalPoint(7, 60), 0.5, np.arange(1, 121, dtype=np.int64)))
-def test_weyl_root_table_terms_are_the_phase_terms(case):
-    # the table path gives exp(2 pi i _phases) bit for bit
-    g, pt, beta, n = case
-    terms, mass = _weyl_terms(g, None, pt, beta, n)
-    want = np.exp(2j * np.pi * _phases(g, pt.a, pt.q, beta, n))
-    assert terms.tobytes() == want.tobytes()
-    assert mass == len(n)
-
-
-@st.composite
 def periodic_weyl_case(draw):
     """g of degree 2-4 with coefficients in +-20, a reduced a/q with q <= 60,
-    Y in {0, 5, 10} and X from one wheel period L <= 3000 to six of them,
-    with the edges L, 2L - 1, 2L, 2L + 1 drawn as often as the rest."""
+    Y in {0, 5, 10} and X from 0 (X < L leaves c = 0) to six wheel periods
+    L <= 3000, with the edges L - 1, L, 2L - 1, 2L, 2L + 1 drawn as often as
+    the rest."""
     degree = draw(st.integers(2, 4))
     coeffs = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree))
     lead = draw(st.integers(-20, 20).filter(bool))
@@ -514,7 +483,8 @@ def periodic_weyl_case(draw):
     profile = SieveProfile.build(g, draw(st.sampled_from([0, 5, 10])))
     L = wheel_period(q, profile)
     assume(L <= 3000)
-    X = draw(st.one_of(st.sampled_from([L, 2 * L - 1, 2 * L, 2 * L + 1]), st.integers(L, 6 * L)))
+    X = draw(st.one_of(st.sampled_from([L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1]),
+                       st.integers(0, 6 * L)))
     return g, RationalPoint(a, q), X, profile, draw(st.booleans())
 
 
@@ -524,9 +494,11 @@ def periodic_weyl_case(draw):
 @example((parse_poly("x^3-30x^2+11x-7"), RationalPoint(7, 60), 3 * 420 - 1,
           SieveProfile.build(parse_poly("x^3-30x^2+11x-7"), 10), True))
 @example((parse_poly("x^2"), RationalPoint(0, 1), 1, SieveProfile.build(parse_poly("x^2"), 0), False))
+@example((parse_poly("x^2"), RationalPoint(7, 60), 419, SieveProfile.build(parse_poly("x^2"), 10), True))
 def test_periodic_weyl_sum_is_the_class_weight_sum(case):
-    # n_terms exact, sum float(C_k) e(k/q) bit for bit against brute-force
-    # class weights, and the streamed sum within est_abs_error
+    # n_terms exact, sum float(C_k) e(k/q) against brute-force class weights
+    # (bit for bit while they are int64), and the streamed sum within
+    # est_abs_error
     assert_class_weights(*case)
 
 

@@ -182,33 +182,37 @@ class TestCounting:
 
 
 class TestMaskedCount:
-    """The one-pass count over min(X, wheel) against inclusion-exclusion and
-    the mask, at the wheel and chunk edges."""
+    """The count c prod (p^gamma - j) + S(rem), S(rem) from one masked pass
+    over [1, rem], against inclusion-exclusion and the mask, at the wheel and
+    chunk edges."""
 
     def oracles(self, profile, X):
         return sieve._count_avoiding(list(profile._active()), X), int(profile.mask(X + 1)[1:].sum())
 
+    def assert_count(self, profile, X):
+        head = sieve._masked_count(profile, X % profile.wheel)
+        assert (head, head) == self.oracles(profile, X % profile.wheel), X
+        got = enumerate_w(profile, X)
+        assert (got, got) == self.oracles(profile, X), X
+
     def test_wheel_edges(self):
         profile = SieveProfile.build(X2, 10)
         L = profile.wheel
-        assert L == 420
+        assert L == 420 and enumerate_w(profile, L) == 96  # (4 - 2)(3 - 1)(5 - 1)(7 - 1)
         for X in (1, L - 1, L, L + 1, 2 * L, 7 * L + 299, 7 * L + L - 1):
-            got = sieve._masked_count(profile, X)
-            assert (got, got) == self.oracles(profile, X), X
+            self.assert_count(profile, X)
 
     def test_chunk_boundaries(self):
         profile = SieveProfile.build(parse_poly("(x^3-19)(x^2+x+1)"), 30)
         with mock.patch.object(sieve, "COUNT_CHUNK", 64):
             for X in (63, 64, 65, 128, 129, 5000):
-                got = sieve._masked_count(profile, X)
-                assert (got, got) == self.oracles(profile, X), X
-        # a wheel that ends inside a chunk, with the remainder in an earlier one
+                self.assert_count(profile, X)
+        # rem ending inside a chunk, on its edge, and spanning several
         profile = SieveProfile.build(X3, 10)
         with mock.patch.object(sieve, "COUNT_CHUNK", 100):
             L = profile.wheel
-            for X in (3 * L + 50, 3 * L + 150, 3 * L + L - 1):
-                got = sieve._masked_count(profile, X)
-                assert (got, got) == self.oracles(profile, X), X
+            for X in (3 * L + 50, 3 * L + 100, 3 * L + 150, 3 * L + L - 1):
+                self.assert_count(profile, X)
 
     def test_no_active_prime(self):
         # g' = 2x + 1 has no root mod 2, so W(2) is every integer
@@ -222,22 +226,20 @@ class TestMaskedCount:
         assert [enumerate_w(profile, X) for X in (0, -1, -(10**20))] == [0, 0, 0]
 
     def test_span_picks_the_path(self, monkeypatch):
-        profile = SieveProfile.build(X2, 10)  # wheel 420
+        profile = SieveProfile.build(X2, 10)  # wheel 420, 96 members per wheel
         calls = []
         for name in ("_masked_count", "_count_avoiding"):
             real = getattr(sieve, name)
-            monkeypatch.setattr(sieve, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
-        monkeypatch.setattr(sieve, "COUNT_SPAN_LIMIT", 419)
-        expected = int(profile.mask(1001)[1:].sum())
-        assert enumerate_w(profile, 419) == int(profile.mask(420)[1:].sum())
-        assert enumerate_w(profile, 1000) == expected
-        assert calls == ["_masked_count", "_count_avoiding"]
-        # the span is min(X, wheel): any X takes the pass once the wheel fits
-        monkeypatch.setattr(sieve, "COUNT_SPAN_LIMIT", 420)
-        calls.clear()
-        assert enumerate_w(profile, 1000) == expected
-        assert enumerate_w(profile, 420 * 10**37) == 96 * 10**37  # 96 members per wheel
-        assert calls == ["_masked_count", "_masked_count"]
+            monkeypatch.setattr(sieve, name, lambda *a, name=name, real=real: calls.append((name, a[1])) or real(*a))
+        monkeypatch.setattr(sieve, "COUNT_SPAN_LIMIT", 100)
+        # the span is rem = X mod 420, whatever X is
+        assert enumerate_w(profile, 940) == int(profile.mask(941)[1:].sum())
+        assert enumerate_w(profile, 1000) == int(profile.mask(1001)[1:].sum())
+        assert enumerate_w(profile, 101) == int(profile.mask(102)[1:].sum())
+        assert enumerate_w(profile, 420 * 10**37) == 96 * 10**37
+        assert enumerate_w(profile, 420 * 10**37 + 419) == 96 * 10**37 + 96
+        assert calls == [("_masked_count", 100), ("_count_avoiding", 160), ("_count_avoiding", 101),
+                         ("_masked_count", 0), ("_count_avoiding", 419)]
 
 
 class TestBrun:
