@@ -14,7 +14,8 @@ exception exits 4 with one "internal error:" line on stderr, never a
 traceback.  All randomness flows from --seed (default 0), and computation is
 sequential with fixed-block accumulation, so output bytes depend only on the
 seed and the inputs.  --output names the output path ("-", the default, is
-stdout).
+stdout).  A reader that closes stdout early ends nothing but the output:
+the exit code is the payload's, and stderr stays empty.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -475,7 +477,16 @@ def main(argv=None) -> int:
         else:
             blocks = [out]
         if args.output == "-":
-            sys.stdout.writelines(blocks)
+            try:
+                sys.stdout.writelines(blocks)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader has gone; what it did not read is dropped, and
+                # stdout becomes devnull so the final flush at exit cannot
+                # raise again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         else:
             with open(args.output, "w") as fh:
                 fh.writelines(blocks)

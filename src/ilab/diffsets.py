@@ -13,12 +13,15 @@ members block n + F beyond it in one numpy write.  Constructions (greedy
 scan, multiples of a prime, base-q digit lifts of modular sets) are always
 re-verified.  Modular search looks for a maximum independent set in the
 Cayley graph of Z/q whose connection set is the nonzero k-th power
-residues, symmetrized.  The graph is vertex-transitive, so the
-branch-and-bound fixes vertex 0; a search that exhausts that tree proves
-the optimum (always in exhaustive mode, q <= 32, and within the default
-budget at q = 205).  Budgeted searches start from the best of 3000 seeded
-greedy passes, run side by side as one numpy pass over the vertex-order
-columns.
+residues, symmetrized.  The multipliers that fix that set split the
+non-neighbours of 0 into orbits, and one subtree per orbit fixes 0 and the
+orbit's least element on a denser Cayley graph; a branch-and-bound that
+colours every node's candidates by greedy clique cover searches each.  A
+search that exhausts its subtrees proves the optimum (always in exhaustive
+mode, q <= 32, and within the default budget at q = 205, 221, 265, 290
+and 305, the first in 438 nodes).  Only a search that its budget cuts
+short also runs 3000 seeded greedy passes, side by side as one numpy pass
+over the vertex-order columns, and keeps the larger set.
 """
 
 from __future__ import annotations
@@ -333,22 +336,24 @@ class SearchResult:
     upper_bound: int
 
 
-def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
-    """Upper bound on the independent set inside cand: greedy clique cover."""
-    bound = 0
+def _clique_cover(cand: int, adj: Sequence[int]) -> list[int]:
+    """Greedy clique cover of the vertex bitset cand, as a list of clique
+    bitsets: each clique grows from the lowest uncovered vertex by the
+    lowest common neighbour left in cand.  No independent set inside cand
+    meets a clique twice, so the number of cliques bounds its size."""
+    cliques = []
     rest = cand
     while rest:
-        v = _lsb_index(rest)
-        clique = 1 << v
-        common = adj[v] & rest
-        rest &= ~(1 << v)
+        low = rest & -rest
+        clique = low
+        common = adj[low.bit_length() - 1] & rest
         while common:
-            u = _lsb_index(common)
-            clique |= 1 << u
-            common &= adj[u] & ~(1 << u)
+            u = common & -common
+            clique |= u
+            common &= adj[u.bit_length() - 1]
         rest &= ~clique
-        bound += 1
-    return bound
+        cliques.append(clique)
+    return cliques
 
 
 def _max_independent(
@@ -362,47 +367,47 @@ def _max_independent(
     """Maximum independent set that contains the independent vertex bitset
     root and otherwise lies in the vertex bitset cand (which must avoid root
     and its neighbours), by iterative depth-first branch-and-bound over the
-    adjacency bitsets adj.
+    adjacency bitsets adj, with a colouring bound at every node.
 
-    best_bits is an independent set to beat.  Every popped node counts, and
-    a nonempty root counts as node 1; the search gives up once the count
-    exceeds budget, and stops at the first set of size target.  Nodes are
-    pruned by their candidate popcount and, every 16384 nodes, by a greedy
-    clique cover.  It branches on the lowest candidate vertex, include first
-    (on a Cayley graph all degrees are equal, so this is the degree order).
+    A node is one candidate set, coloured by _clique_cover: a vertex of the
+    c-th clique heads a child whose candidates are its non-neighbours in
+    cliques 1..c-1, so that child cannot end above size + c.  Children
+    branch from the highest colour down, and a child is cut as soon as
+    that bound (or size + 1 + its popcount) is <= the best size.  Every
+    chosen set is independent, so each node's set is a candidate best.
+
+    best_bits is an independent set to beat.  The search gives up once the
+    node count exceeds budget, and stops at the first set of size target.
     Returns (best_bits, nodes, exhausted).
     """
     best_size = best_bits.bit_count()
     if target is not None and best_size >= target:
         return best_bits, 0, False
-    # fixing root is the choice of one node, the parent of the first popped
-    # one: with root = {0} the nodes are numbered as in the full tree
-    nodes = 1 if root else 0
-    if nodes > budget:
-        return best_bits, nodes, False
-    stack = [(root.bit_count(), root, cand)]
+    nodes = 0
+    stack = [(math.inf, root.bit_count(), root, cand)]  # (bound, size, chosen, cand)
     while stack:
+        bound, size, chosen, cand = stack.pop()
+        if bound <= best_size:
+            continue
         nodes += 1
         if nodes > budget:
             return best_bits, nodes, False
-        size, chosen, cand = stack.pop()
-        if not cand:
-            if size > best_size:
-                best_size, best_bits = size, chosen
-                if target is not None and size >= target:
-                    return best_bits, nodes, False
-            continue
-        if size + cand.bit_count() <= best_size:
-            continue
-        if nodes % 16384 == 0 and (
-            size + _greedy_clique_cover_bound(cand, adj) <= best_size
-        ):
-            continue
-        low = cand & -cand
-        v = low.bit_length() - 1
-        # exclude branch pushed first so the include branch pops first
-        stack.append((size, chosen, cand ^ low))
-        stack.append((size + 1, chosen | low, cand & ~(adj[v] | low)))
+        if size > best_size:
+            best_size, best_bits = size, chosen
+            if target is not None and size >= target:
+                return best_bits, nodes, False
+        lower = 0  # the union of the cliques below the current colour
+        for colour, clique in enumerate(_clique_cover(cand, adj), 1):
+            if size + colour > best_size:
+                rest = clique
+                while rest:
+                    low = rest & -rest
+                    sub = lower & ~adj[low.bit_length() - 1]
+                    stack.append(
+                        (size + 1 + min(colour - 1, sub.bit_count()), size + 1, chosen | low, sub)
+                    )
+                    rest ^= low
+            lower |= clique
     return best_bits, nodes, True
 
 
@@ -449,6 +454,45 @@ def _pick_restart(sizes: np.ndarray, target: Optional[int]) -> int:
     return int(sizes.argmax())
 
 
+def _cayley_rows(conn: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Row v of the Cayley graph of Z/q with connection set conn (a bool
+    mask mod q, holding 0) for each v in verts: u is set when u - v is in
+    conn, so each row holds its own vertex."""
+    q = len(conn)
+    return conn[(np.arange(q)[None, :] - verts[:, None]) % q]
+
+
+def _adjacency(conn: np.ndarray, verts: np.ndarray) -> list[int]:
+    """Adjacency bitsets of the Cayley graph of Z/q with connection set
+    conn (a bool mask mod q, holding 0) at the vertices verts; the other
+    entries stay 0."""
+    adj = [0] * len(conn)
+    packed = np.packbits(_cayley_rows(conn, verts), axis=1, bitorder="little")
+    for v, row in zip(verts.tolist(), packed):
+        adj[v] = int.from_bytes(row.tobytes(), "little") ^ (1 << v)
+    return adj
+
+
+def _difference_orbits(q: int, near: np.ndarray) -> list[np.ndarray]:
+    """The orbits of the non-neighbours of 0 under the multipliers M = {u
+    unit mod q : u D_sym = D_sym}, each sorted, in order of least element;
+    near is the bool mask of 0 and D_sym.  A unit maps D_sym into D_sym
+    only if it maps D_sym onto it, so one inclusion test per unit decides M."""
+    units = np.array([u for u in range(1, q) if math.gcd(u, q) == 1], dtype=np.int64)
+    dsym = np.flatnonzero(near)[1:]
+    mult = units[near[np.outer(units, dsym) % q].all(axis=1)]
+    seen = near.copy()
+    orbits = []
+    for r in range(q):
+        if not seen[r]:
+            # a mask, not np.unique, which imports numpy.ma (1.5 MB of RSS)
+            orbit = np.zeros(q, dtype=bool)
+            orbit[mult * r % q] = True
+            seen |= orbit
+            orbits.append(np.flatnonzero(orbit))
+    return orbits
+
+
 def modular_search(
     q: int,
     k: int,
@@ -459,18 +503,28 @@ def modular_search(
 ) -> SearchResult:
     """Maximum independent set in the Cayley graph of (Z/q, symmetrized D).
 
-    The graph is vertex-transitive, so some maximum independent set contains
-    0: branch-and-bound fixes vertex 0 and searches the non-neighbours of 0.
-    mode "exhaustive" (q <= 32) runs it to completion from {0} alone and is
-    provably optimal.  mode "branch_bound" warm-starts with WARM_RESTARTS
-    seeded greedy passes in random vertex order, run side by side in numpy;
-    the first pass of maximum size (or the first to reach `target`) is
-    translated to contain 0 and becomes the set to beat.  The search then
-    explores within the node budget, stops early when `target` is reached
-    (best-effort semantics) and reports optimal=True only if the tree was
-    exhausted.  upper_bound is then the size; otherwise it is the smaller of
-    two greedy clique covers: of the whole graph, and of the non-neighbours
-    of 0 plus one for 0 itself.  The returned set is always re-verified.
+    Difference orbits: M = {u unit mod q : u D_sym = D_sym} contains -1
+    and fixes 0, so it splits the non-neighbours of 0 into orbits O_1, O_2,
+    ..., ordered by their least elements r_j.  If S is a maximum set with
+    two or more members and O_j is the first orbit that meets S - S, a
+    translate of S times some u in M is a maximum set that contains
+    {0, r_j} and has no difference in O_1, ..., O_{j-1}.  So subtree j
+    runs _max_independent from the root {0, r_j} on the Cayley graph whose
+    connection set is D_sym plus O_1, ..., O_{j-1}.  The set to beat starts
+    as {0} (the answer when there is no orbit) and carries from one
+    subtree to the next; the node budget covers all subtrees, a search cut
+    by it reports budget + 1 nodes, and `target` stops it at the first set
+    of that size.  optimal=True only when every subtree was exhausted.
+
+    mode "exhaustive" (q <= 32) is the search alone.  In mode
+    "branch_bound", a search that the budget cuts short of `target` also
+    runs WARM_RESTARTS seeded greedy passes in random vertex order, side by
+    side in numpy; the first pass of maximum size (or the first to reach
+    `target`), translated to contain 0, is returned when it beats the
+    search's set.  upper_bound is the size of an exhausted search; otherwise
+    it is the smaller of two greedy clique covers: of the whole graph, and
+    of the non-neighbours of 0 plus one for 0 itself.  The returned set is
+    always re-verified.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -487,31 +541,46 @@ def modular_search(
     D = power_residues(q, k)
     near = np.zeros(q, dtype=bool)  # 0 and its neighbours, D and -D
     near[[0, *D, *(q - d for d in D)]] = True
-    idx = np.arange(q)
-    closed = near[(idx[None, :] - idx[:, None]) % q]  # closed[v, u]: u - v is near 0
-    packed = np.packbits(closed, axis=1, bitorder="little")
-    # adjacency bitsets: the rows of closed without the diagonal
-    adj = [int.from_bytes(row.tobytes(), "little") ^ (1 << v) for v, row in enumerate(packed)]
 
-    best_bits = 0
-    if mode != "exhaustive":
-        admitted = _greedy_passes(_random_orders(q, seed), closed)
-        warm = np.flatnonzero(admitted[_pick_restart(admitted.sum(axis=1), target)])
-        best_bits = _bits_from((warm - warm[0]).tolist())  # the translate through 0
+    conn = near.copy()  # 0, D_sym and the orbits of the subtrees done
+    best_bits, nodes, exhausted = 1, 0, True
+    for orbit in _difference_orbits(q, near):
+        r = int(orbit[0])
+        verts = np.flatnonzero(~conn & ~np.roll(conn, r))  # away from 0 and r
+        best_bits, used, exhausted = _max_independent(
+            _adjacency(conn, verts),
+            _bits_from(verts.tolist()),
+            best_bits,
+            budget - nodes,
+            target,
+            root=1 | 1 << r,
+        )
+        nodes += used
+        if not exhausted:
+            break
+        conn[orbit] = True
 
-    full = (1 << q) - 1
-    rest = full & ~(adj[0] | 1)  # the non-neighbours of 0
-    best_bits, nodes, exhausted = _max_independent(adj, rest, best_bits, budget, target, root=1)
+    size = upper_bound = best_bits.bit_count()
+    if not exhausted:
+        vertices = np.arange(q)
+        if mode != "exhaustive" and (target is None or size < target):
+            admitted = _greedy_passes(_random_orders(q, seed), _cayley_rows(near, vertices))
+            warm = np.flatnonzero(admitted[_pick_restart(admitted.sum(axis=1), target)])
+            if len(warm) > size:
+                best_bits = _bits_from((warm - warm[0]).tolist())  # the translate through 0
+        adj = _adjacency(near, vertices)
+        full = (1 << q) - 1
+        rest = full & ~(adj[0] | 1)  # the non-neighbours of 0
+        # a maximum set through 0 is 0 plus an independent set of rest
+        upper_bound = min(len(_clique_cover(full, adj)), 1 + len(_clique_cover(rest, adj)))
     members = tuple(sorted(v for v in range(q) if best_bits & (1 << v)))
     assert verify_modular(members, q, D), "search produced an invalid set"
-    cover = _greedy_clique_cover_bound
     return SearchResult(
         best=members,
         size=len(members),
         optimal=exhausted,
         nodes=nodes,
-        # a maximum set through 0 is 0 plus an independent set of rest
-        upper_bound=len(members) if exhausted else min(cover(full, adj), 1 + cover(rest, adj)),
+        upper_bound=upper_bound,
     )
 
 

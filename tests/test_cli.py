@@ -314,6 +314,32 @@ class TestExitCodes:
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr == "internal error: AssertionError: search produced an invalid set\n"
 
+    def test_closed_stdout_keeps_the_exit_code(self, capsys, monkeypatch):
+        # the reader is gone before the payload is written: no error line,
+        # and the data outcome still decides the exit code
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["intersect", "check", "--poly", "x^2+1", "--prime-bound", "50"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_the_pipe_after_one_byte(self):
+        # `ilab ... | head -c 1`: the payload (about 150 kB) outgrows the
+        # pipe, so the write meets the closed end
+        argv = ["intersect", "check", "--poly", "(x^3-19)(x^2+x+1)", "--prime-bound", "5000"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "ilab", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+        ) as proc:
+            first = proc.stdout.read(1)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert first == b"{" and err == b""
+
     def test_violation_exits_one(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n2\n")
@@ -496,9 +522,9 @@ class TestSchema:
             validator.validate(payload)
 
     def test_search_bound_is_the_size_once_exhausted(self, validator, capsys):
-        # q = 85 exhausts from vertex 0; a budget of 500 nodes at q = 205 does
-        # not, and reports 1 + the clique cover of the non-neighbours of 0
-        for argv, optimal in ((("--q", "85"), True), (("--q", "205", "--budget", "500"), False)):
+        # q = 85 exhausts; a budget of 500 nodes at q = 305 (which needs 13000)
+        # does not, and reports 1 + the clique cover of the non-neighbours of 0
+        for argv, optimal in ((("--q", "85"), True), (("--q", "305", "--budget", "500"), False)):
             code, out = run_cli(capsys, "sets", "search", "--k", "2", *argv)
             assert code == 0
             payload = json.loads(out)
@@ -508,7 +534,7 @@ class TestSchema:
             assert payload["upper_bound"] >= payload["size"]
 
     def test_selftest_quick_validates(self, validator, capsys):
-        # criterion 12 inside selftest exercises the warm-started search
+        # criterion 12 inside selftest runs the search to its target at q = 205
         code, out = run_cli(capsys, "selftest", "--quick")
         assert code == 0
         payload = json.loads(out)

@@ -13,7 +13,8 @@ import pytest
 from ilab import diffsets
 from ilab.diffsets import (
     _bits_from,
-    _greedy_clique_cover_bound,
+    _clique_cover,
+    _greedy_passes,
     _max_independent,
     _pairwise_hit,
     _random_orders,
@@ -23,6 +24,7 @@ from ilab.diffsets import (
     PERM_SLICE,
     SEARCH_Q_LIMIT,
     DiffFreeInstance,
+    SearchResult,
     brute_force_verify,
     decompose_difference,
     density_table,
@@ -349,6 +351,90 @@ def popcount_branch_and_bound(adj, cand):
     return best[1]
 
 
+def reference_clique_cover_bound(cand, adj):
+    """Greedy clique cover size of cand, lowest vertex first."""
+    bound = 0
+    rest = cand
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        clique = 1 << v
+        common = adj[v] & rest
+        rest &= ~(1 << v)
+        while common:
+            u = (common & -common).bit_length() - 1
+            clique |= 1 << u
+            common &= adj[u] & ~(1 << u)
+        rest &= ~clique
+        bound += 1
+    return bound
+
+
+def reference_max_independent(adj, cand, best_bits=0, budget=math.inf, target=None, root=0):
+    """The kernel the colouring bound replaced, frozen: popcount bound at
+    every node and a clique cover every 16384 nodes, lowest candidate
+    first, include first; a nonempty root counts as node 1.  Returns
+    (best_bits, nodes, exhausted)."""
+    best_size = best_bits.bit_count()
+    if target is not None and best_size >= target:
+        return best_bits, 0, False
+    nodes = 1 if root else 0
+    if nodes > budget:
+        return best_bits, nodes, False
+    stack = [(root.bit_count(), root, cand)]
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return best_bits, nodes, False
+        size, chosen, cand = stack.pop()
+        if not cand:
+            if size > best_size:
+                best_size, best_bits = size, chosen
+                if target is not None and size >= target:
+                    return best_bits, nodes, False
+            continue
+        if size + cand.bit_count() <= best_size:
+            continue
+        if nodes % 16384 == 0 and size + reference_clique_cover_bound(cand, adj) <= best_size:
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append((size, chosen, cand ^ low))
+        stack.append((size + 1, chosen | low, cand & ~(adj[v] | low)))
+    return best_bits, nodes, True
+
+
+def cayley_adjacency(q, k):
+    """Adjacency bitsets of the Cayley graph of Z/q on the symmetrized
+    nonzero k-th powers, one shift at a time."""
+    D = power_residues(q, k)
+    dsym = D | {q - d for d in D}
+    return [_bits_from([(v + d) % q for d in dsym]) for v in range(q)], dsym
+
+
+def vertex_orbit_alpha(q, k, budget=math.inf):
+    """alpha of the Cayley graph by the vertex-orbit loop over the reference
+    kernel: the multipliers u (u D_sym = D_sym) split the non-neighbours of
+    0 into orbits with least elements r_j, and subtree j fixes {0, r_j} and
+    drops r_j's neighbours and the earlier orbits from the candidates, on
+    the graph itself.  Returns (size, nodes, exhausted): size is alpha when
+    exhausted, else the best size reached."""
+    adj, dsym = cayley_adjacency(q, k)
+    mult = [u for u in range(1, q) if math.gcd(u, q) == 1 and {u * d % q for d in dsym} == dsym]
+    rest = ((1 << q) - 1) & ~(adj[0] | 1)
+    best, nodes, done = 1, 0, 0
+    for r in range(q):
+        if rest >> r & 1 and not done >> r & 1:
+            cand = rest & ~(adj[r] | done | 1 << r)
+            best, used, exhausted = reference_max_independent(
+                adj, cand, best, budget - nodes, root=1 | 1 << r
+            )
+            nodes += used
+            if not exhausted:
+                return best.bit_count(), nodes, False
+            done |= _bits_from({u * r % q for u in mult})
+    return best.bit_count(), nodes, True
+
+
 class TestMaxIndependent:
     def test_matches_brute_force_alpha(self):
         rng = random.Random(20240)
@@ -374,25 +460,34 @@ class TestMaxIndependent:
                 for S in range(1 << n)
                 if S & cand == S and is_independent(adj, S)
             )
-            assert alpha <= _greedy_clique_cover_bound(cand, adj) <= bin(cand).count("1")
+            cliques = _clique_cover(cand, adj)
+            assert alpha <= len(cliques) <= bin(cand).count("1")
+            # the cliques partition cand, and each is a clique
+            assert sum(cliques) == cand
+            assert all(not a & b for a, b in itertools.combinations(cliques, 2))
+            for c in cliques:
+                assert all(c & ~(1 << v) & ~adj[v] == 0 for v in range(n) if c >> v & 1)
+            assert reference_clique_cover_bound(cand, adj) == len(cliques)
 
-    def test_same_witness_as_popcount_recursion(self):
-        # the clique-cover bound (every 16384 nodes) only prunes subtrees with
-        # no strictly better leaf, so the first best leaf found is unchanged
+    def test_same_alpha_as_the_reference_kernels(self):
+        # the colouring bound cuts only subtrees with no strictly better set,
+        # so the size is the popcount recursion's and the frozen kernel's,
+        # and it visits a small share of the frozen kernel's nodes
         rng = random.Random(5)
-        deep = 0
         for n, p in ((40, 0.1), (45, 0.15), (36, 0.1), (50, 0.2), (24, 0.3)):
             adj = random_graph(rng, n, p)
             full = (1 << n) - 1
             best, nodes, exhausted = _max_independent(adj, full)
-            assert exhausted
-            assert best == popcount_branch_and_bound(adj, full)
-            deep += nodes > 1 << 14
-        assert deep >= 2
+            ref_best, ref_nodes, ref_exhausted = reference_max_independent(adj, full)
+            assert exhausted and ref_exhausted and is_independent(adj, best)
+            size = bin(best).count("1")
+            assert size == bin(ref_best).count("1")
+            assert size == bin(popcount_branch_and_bound(adj, full)).count("1")
+            assert 10 * nodes < ref_nodes
 
     def test_budget(self):
-        adj = random_graph(random.Random(3), 14, 0.3)
-        full = (1 << 14) - 1
+        adj = random_graph(random.Random(3), 40, 0.1)
+        full = (1 << 40) - 1
         best, total, exhausted = _max_independent(adj, full)
         assert exhausted and total > 20
         for budget in (0, 1, 7, 20, total - 1):
@@ -438,7 +533,7 @@ class TestMaxIndependent:
             best, total, exhausted = _max_independent(adj, cand, root=root)
             assert exhausted and best & root and is_independent(adj, best)
             assert bin(best).count("1") == alpha_v
-            # the root is node 1, so budgets still end at budget + 1 nodes
+            # the root's candidates are node 1, so budgets end at budget + 1 nodes
             for budget in range(min(total, 4)):
                 b, nodes, ex = _max_independent(adj, cand, budget=budget, root=root)
                 assert nodes == budget + 1 and not ex
@@ -492,25 +587,25 @@ class TestModularSearch:
                 assert len(moved) == base
 
     def test_budget_exhaustion(self):
-        res = modular_search(205, 2, budget=500, seed=1)
+        # q = 305 needs 13000 nodes, so 500 cut it
+        res = modular_search(305, 2, budget=500, seed=1)
         assert not res.optimal
-        assert res.nodes <= 501
-        assert verify_modular(res.best, 205, power_residues(205, 2))
+        assert res.nodes == 501
+        assert verify_modular(res.best, 305, power_residues(305, 2))
 
     @pytest.mark.parametrize(
         "q, budget, expected",
         [
-            (85, 2 * 10**5, (7, (0, 11, 31, 33, 39, 44, 72), 39078, True, 7)),
+            (85, 2 * 10**5, (7, (0, 2, 33, 46, 56, 74, 79), 63, True, 7)),
             (
                 205,
                 500,
-                (
-                    12,
-                    (0, 3, 14, 37, 56, 71, 79, 85, 113, 148, 150, 182),
-                    501,
-                    False,
-                    23,
-                ),
+                (12, (0, 2, 72, 96, 98, 104, 110, 173, 175, 181, 192, 199), 438, True, 12),
+            ),
+            (
+                305,
+                500,
+                (12, (0, 2, 13, 85, 116, 167, 178, 189, 215, 236, 283, 294), 501, False, 35),
             ),
         ],
     )
@@ -520,19 +615,69 @@ class TestModularSearch:
         assert (res.size, res.best, res.nodes, res.optimal, res.upper_bound) == expected
 
     def test_exhaustive_matches_the_full_tree(self):
-        # the search before vertex 0 was fixed: the whole Cayley graph as the
-        # candidate set, the empty set as the root
-        for q in range(2, 33):
+        # the frozen kernel over the whole tree from vertex 0, as the search
+        # ran before the difference orbits and the colouring bound
+        for q in range(2, 61):
             for k in (2, 3, 4):
-                D = power_residues(q, k)
-                dsym = D | {q - d for d in D}
-                adj = [_bits_from([(v + d) % q for d in dsym]) for v in range(q)]
-                ref_bits, ref_nodes, exhausted = _max_independent(adj, (1 << q) - 1)
+                adj, _ = cayley_adjacency(q, k)
+                rest = ((1 << q) - 1) & ~(adj[0] | 1)
+                ref_bits, ref_nodes, exhausted = reference_max_independent(adj, rest, root=1)
                 assert exhausted
-                res = modular_search(q, k, mode="exhaustive")
-                assert res.best == tuple(v for v in range(q) if ref_bits >> v & 1)
-                assert res.size == len(res.best) == res.upper_bound and res.optimal
+                res = modular_search(q, k, mode="exhaustive" if q <= 32 else "branch_bound")
+                assert res.size == bin(ref_bits).count("1") == res.upper_bound and res.optimal
+                assert verify_modular(res.best, q, power_residues(q, k))
                 assert res.nodes <= ref_nodes
+        # no non-neighbour of 0: alpha = 1, with no subtree to search
+        for q in (2, 3, 6, 7):
+            assert modular_search(q, 2, mode="exhaustive") == SearchResult((0,), 1, True, 0, 1)
+
+    @pytest.mark.parametrize("q, alpha", [(221, 11), (265, 12)])
+    def test_alpha_past_the_old_budget(self, q, alpha):
+        # the frozen kernel did not exhaust these from vertex 0 in 3e7 nodes;
+        # the vertex-orbit loop over it does, in about 3.4e6
+        res = modular_search(q, 2)
+        assert (res.size, res.optimal, res.upper_bound) == (alpha, True, alpha)
+        assert verify_modular(res.best, q, power_residues(q, 2))
+        size, _, exhausted = vertex_orbit_alpha(q, 2)
+        assert (size, exhausted) == (alpha, True)
+
+    def test_cut_search_keeps_the_warm_start(self, monkeypatch):
+        # a search cut short of target returns the larger of its own set and
+        # the warm start's; at q = 610 and 200 nodes the warm start wins
+        def warm_size(q, seed):
+            D = power_residues(q, 2)
+            near = [d == 0 or d in D or q - d in D for d in range(q)]
+            closed = np.array([[near[(u - v) % q] for u in range(q)] for v in range(q)])
+            return int(_greedy_passes(_random_orders(q, seed), closed).sum(axis=1).max())
+
+        cases = [(610, 200), (205, 5), (305, 500)]
+        got = {
+            (q, budget, seed): modular_search(q, 2, budget=budget, seed=seed)
+            for q, budget in cases
+            for seed in (0, 1)
+        }
+        for (q, budget, seed), res in got.items():
+            assert not res.optimal and res.nodes == budget + 1
+            assert res.size >= warm_size(q, seed)
+            assert verify_modular(res.best, q, power_residues(q, 2)) and res.best[0] == 0
+        # without the warm start the searches alone end lower at q = 610
+        def one_vertex(orders, closed):
+            return np.eye(1, len(closed), dtype=bool)
+
+        monkeypatch.setattr(diffsets, "_greedy_passes", one_vertex)
+        alone = modular_search(610, 2, budget=200, seed=0)
+        assert alone.size == 11 < got[610, 200, 0].size == 12
+
+    def test_warm_start_runs_only_when_cut(self, monkeypatch):
+        def refuse(orders, closed):
+            raise AssertionError("warm start ran")
+
+        monkeypatch.setattr(diffsets, "_greedy_passes", refuse)
+        assert modular_search(205, 2).optimal
+        assert modular_search(205, 2, budget=10, target=3).size >= 3  # target met
+        assert not modular_search(30, 2, budget=1, mode="exhaustive").optimal
+        with pytest.raises(AssertionError, match="warm start ran"):
+            modular_search(205, 2, budget=10)
 
     @pytest.mark.parametrize("q, alpha", [(65, 7), (85, 7), (101, 5)])
     def test_alpha_matches_a_frozenset_recursion(self, q, alpha):
@@ -561,7 +706,7 @@ class TestModularSearch:
 
     def test_budgeted_bound_holds_alpha(self):
         # every q <= 60 exhausts at the default budget, which gives alpha; a
-        # search cut after its root must still report a bound >= alpha
+        # search cut after its first node must still report a bound >= alpha
         for q in range(2, 61):
             for k in (2, 3, 4):
                 full = modular_search(q, k)

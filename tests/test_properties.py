@@ -12,8 +12,9 @@ Weyl sum against brute-force class weights, the local content audit
 against a walk over every d, the prefix-sum translate counts against an FFT
 correlation and a direct count, the numpy DFSET1 writer and loader
 against per-line Python ones, the modular search's numpy warm start
-against plain-Python greedy passes, and the windowed greedy construction
-against the one-position loop."""
+against plain-Python greedy passes, the modular search against the
+vertex-orbit loop over the frozen branch-and-bound kernel, and the windowed
+greedy construction against the one-position loop."""
 
 import math
 from fractions import Fraction
@@ -30,7 +31,15 @@ from ilab.arith import primes_up_to, v_p  # noqa: E402
 from ilab.auxiliary import AuxiliaryFamily, content_bound_audit  # noqa: E402
 from ilab.circle import correlation_counts  # noqa: E402
 import ilab.diffsets as diffsets  # noqa: E402
-from ilab.diffsets import _greedy_passes, _pick_restart, _random_orders, greedy  # noqa: E402
+from ilab.diffsets import (  # noqa: E402
+    _greedy_passes,
+    _pick_restart,
+    _random_orders,
+    greedy,
+    modular_search,
+    power_residues,
+    verify_modular,
+)
 from ilab.expsum import RationalPoint, _phases  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
@@ -55,7 +64,7 @@ from ilab.sieve import SieveProfile  # noqa: E402
 from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
 from test_circle import direct_correlation_counts, fft_correlation_counts  # noqa: E402
 from test_cli import per_line_load_set  # noqa: E402
-from test_diffsets import greedy_loop  # noqa: E402
+from test_diffsets import greedy_loop, vertex_orbit_alpha  # noqa: E402
 from test_expsum import assert_class_weights, wheel_period  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -684,6 +693,23 @@ def test_warm_start_rows_are_plain_greedy_passes(case, drawn_sizes):
     # the selection rule alone, on sizes with more ties and more targets hit
     got = _pick_restart(np.array(drawn_sizes), target)
     assert got == first_best_restart(drawn_sizes, target)
+
+
+@PROPERTY
+@given(st.integers(2, 90), st.sampled_from([2, 3, 4]), st.integers(0, 60), st.integers(0, 3))
+@example(80, 4, 0, 0)  # the vertex-orbit loop is cut at 10^6 nodes here
+@example(7, 2, 0, 0)  # no non-neighbour of 0: alpha = 1
+def test_modular_search_matches_the_vertex_orbit_loop(q, k, budget, seed):
+    res = modular_search(q, k)
+    assert res.optimal and res.upper_bound == res.size and res.best[0] == 0
+    assert verify_modular(res.best, q, power_residues(q, k))
+    size, _, exhausted = vertex_orbit_alpha(q, k, budget=10**6)
+    assert size == res.size if exhausted else size <= res.size
+    # a search cut by its budget stays between the optimum's bounds
+    cut = modular_search(q, k, budget=budget, seed=seed)
+    assert cut.size <= res.size <= cut.upper_bound
+    assert cut.optimal or cut.nodes == budget + 1
+    assert verify_modular(cut.best, q, power_residues(q, k))
 
 
 @st.composite
