@@ -50,7 +50,7 @@ print("The p = 3 case needs precision 3^5: every root mod 3^j has derivative")
 print("divisible by 9, so the strong-Hensel inequality j >= 2v+1 first holds")
 print("at j = 5.  Root counts of h mod 3^j:")
 for j in range(1, 6):
-    print(f"  mod 3^{j}: {roots_mod(q, 3**j)}")
+    print(f"  mod 3^{j}: {roots_mod(q, [3**j])[3**j]}")
 
 c = certs[3]
 print(f"\nLifting the certificate residue to precision 3^9: {c.residue_mod(9)}")

@@ -362,7 +362,7 @@ def cmd_sets_ruzsa(args) -> dict:
 
 def cmd_sets_table(args) -> str:
     Ns = [int(x) for x in args.Ns.split(",") if x.strip()]
-    rows = density_table(Ns, _parse_gens(args.gens), methods=tuple(args.methods.split(",")))
+    rows = density_table(Ns, _parse_gens(args.gens))
     return _csv(rows, ["N", "method", "size", "density", "fs_bound_shape", "exp_bound_shape"])
 
 
@@ -432,8 +432,7 @@ COMMANDS = [
      [_arg("--B", help='modular set, e.g. "0,2"'), _arg("--q", int), _arg("--k", int),
       _arg("--N", int), SAVE]),
     ("sets", "table", cmd_sets_table, None,
-     [GENS, _arg("--Ns", help='comma list, e.g. "1000,10000"'),
-      _arg("--methods", default="greedy,trivial")]),
+     [GENS, _arg("--Ns", help='comma list, e.g. "1000,10000"')]),
     ("selftest", None, cmd_selftest, lambda p: not p["all_passed"], [_arg("--quick", bool)]),
 ]
 

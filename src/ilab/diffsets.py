@@ -9,19 +9,20 @@ forbidden set F, or one shift-AND of A's bitset per forbidden value,
 costs O(N) bytes to build; a set of fewer than two members passes without
 building F.  The greedy scan admits a whole window of positions per pass:
 admissions inside the window are resolved on one Python int, and the new
-members block n + F beyond it in one numpy write.  Constructions (greedy
-scan, multiples of a prime, base-q digit lifts of modular sets) are always
+members block n + F beyond it in one numpy write.  The greedy scan is exact
+by construction (the tests check it against the one-position loop); the
+multiples of a prime and the base-q digit lifts of modular sets are
 re-verified.  Modular search looks for a maximum independent set in the
 Cayley graph of Z/q whose connection set is the nonzero k-th power
 residues, symmetrized.  The multipliers that fix that set split the
 non-neighbours of 0 into orbits, and one subtree per orbit fixes 0 and the
 orbit's least element on a denser Cayley graph; a branch-and-bound that
 colours every node's candidates by greedy clique cover searches each.  A
-search that exhausts its subtrees proves the optimum (always in exhaustive
-mode, q <= 32, and within the default budget at q = 205, 221, 265, 290
-and 305, the first in 438 nodes).  Only a search that its budget cuts
-short also runs 3000 seeded greedy passes, side by side as one numpy pass
-over the vertex-order columns, and keeps the larger set.
+search that exhausts its subtrees proves the optimum (within the default
+budget at q = 205, 221, 265, 290 and 305, the first in 438 nodes).  In
+exhaustive mode a search that its budget cuts short is a ResourceLimit;
+otherwise it also runs 3000 seeded greedy passes, side by side as one
+numpy pass over the vertex-order columns, and keeps the larger set.
 """
 
 from __future__ import annotations
@@ -516,7 +517,8 @@ def modular_search(
     by it reports budget + 1 nodes, and `target` stops it at the first set
     of that size.  optimal=True only when every subtree was exhausted.
 
-    mode "exhaustive" (q <= 32) is the search alone.  In mode
+    mode "exhaustive" proves the optimum or raises ResourceLimit when the
+    budget cuts the search short (`target` still stops it early).  In mode
     "branch_bound", a search that the budget cuts short of `target` also
     runs WARM_RESTARTS seeded greedy passes in random vertex order, side by
     side in numpy; the first pass of maximum size (or the first to reach
@@ -532,8 +534,6 @@ def modular_search(
         raise ValueError(f"k must be >= 1, got {k}")
     if target is not None and target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
-    if mode == "exhaustive" and q > 32:
-        raise ValueError("exhaustive mode requires q <= 32")
     if q > SEARCH_Q_LIMIT:
         # WARM_RESTARTS greedy passes over q columns of (q, q) adjacency rows,
         # and q adjacency bitsets of q bits
@@ -562,8 +562,11 @@ def modular_search(
 
     size = upper_bound = best_bits.bit_count()
     if not exhausted:
+        cut = target is None or size < target  # by the budget, not the target
+        if cut and mode == "exhaustive":
+            raise ResourceLimit(f"exhaustive search cut at its budget of {budget} nodes (q = {q})")
         vertices = np.arange(q)
-        if mode != "exhaustive" and (target is None or size < target):
+        if cut:
             admitted = _greedy_passes(_random_orders(q, seed), _cayley_rows(near, vertices))
             warm = np.flatnonzero(admitted[_pick_restart(admitted.sum(axis=1), target)])
             if len(warm) > size:
@@ -653,12 +656,10 @@ def ruzsa_lift(
     return inst
 
 
-def density_table(
-    N_list: Sequence[int],
-    generators: Sequence[IntPolynomial],
-    methods: Sequence[str] = ("greedy", "trivial"),
-) -> list[dict]:
-    """Rows (N, method, size, density, fs_bound_shape, exp_bound_shape).
+def density_table(N_list: Sequence[int], generators: Sequence[IntPolynomial]) -> list[dict]:
+    """Rows (N, method, size, density, fs_bound_shape, exp_bound_shape):
+    greedy at every N, and trivial after it when the one generator is a
+    pure power x^k.
 
     The bound shapes are plotted with c = 1 and are reference-only:
     fs = (log N)^(-log log log log N) (None, a blank CSV field, when the
@@ -683,15 +684,10 @@ def density_table(
                 break
             l4 = math.log(l4)
         shapes["fs_bound_shape"] = l1 ** (-l4) if ok else None
-        for method in methods:
-            if method == "greedy":
-                inst = greedy(N, generators)
-            elif method == "trivial":
-                if not is_pure_power:
-                    continue
-                inst = trivial_multiples(N, generators[0].degree)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+        insts = {"greedy": greedy(N, generators)}
+        if is_pure_power:
+            insts["trivial"] = trivial_multiples(N, generators[0].degree)
+        for method, inst in insts.items():
             rows.append(
                 {
                     "N": N,

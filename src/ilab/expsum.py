@@ -14,7 +14,8 @@ same bits as exp(2 pi i _phases) at the class k.  A complete sum mod q reads
 it, and so does a beta = 0 Weyl sum with q <= WEYL_CHUNK: with the period
 L = lcm(q, sieve wheel) it is sum_k C_k e(k/q), the class weights C_k
 summed over min(X, L) residues (_periodic_weyl_sum): exact int64 integers
-each rounded once, or float64 sums where int64 could overflow.  Every other
+each rounded once, or float64 sums where int64 could overflow.  Both bin by
+g(s) mod q and read the bins out at a one way (_unit_sums).  Every other
 Weyl sum streams exp(2 pi i _phases) term by term.  The oscillatory
 integral is e(m - round(m)) at the exact midpoint phase m of its ends
 times a real factor, an exact fraction rounded once.
@@ -86,16 +87,24 @@ def _roots(Q: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(Q) / Q))
 
 
-def _phase_table(
-    g: IntPolynomial, q: int, sieve: Optional[SieveProfile]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(H, roots): H[r] counts the s in [0, q) (in W^q(Y) with a sieve) with
-    g(s) = r mod q, and roots[k] = e(k / q)."""
+def _phase_table(g: IntPolynomial, q: int, sieve: Optional[SieveProfile]) -> np.ndarray:
+    """H[m] counts the s in [0, q) (in W^q(Y) with a sieve) with g(s) = m mod q."""
     if q > COMPLETE_SUM_LIMIT:
         raise ResourceLimit(f"complete sums capped at q <= {COMPLETE_SUM_LIMIT}")
     mask = np.ones(q, dtype=bool) if sieve is None else sieve.mask(q, q)
     classes = values_mod(g, np.arange(q, dtype=np.int64), q)
-    return np.bincount(classes[mask], minlength=q), _roots(q)
+    return np.bincount(classes[mask], minlength=q)
+
+
+def _unit_sums(hist: np.ndarray, units: list[int]) -> list[complex]:
+    """sum_m hist[m] e(m a / q) for each unit a mod q = len(hist).  The
+    phase class k = m a holds hist[a^-1 k mod q], so that gather of hist is
+    dotted with _roots(q)."""
+    q = len(hist)
+    inverses = np.array([pow(a, -1, q) for a in units], dtype=np.int64)
+    counts = hist[np.arange(q, dtype=np.int64) * inverses[:, None] % q]
+    roots = _roots(q)
+    return [complex(np.dot(row, roots)) for row in counts]
 
 
 def complete_sum(
@@ -104,14 +113,13 @@ def complete_sum(
     """sum over s in [0, q) (optionally s in W^q(Y)) of e(g(s) a / q).
 
     A sieve profile restricts s to W^q(Y): only the primes with p^gamma | q
-    are active.  Phases are exact integer classes mod q.
+    are active.  Phases are exact integer classes mod q, read out at a by
+    _unit_sums.
     """
-    hist, roots = _phase_table(g, pt.q, sieve)
-    # a is a unit, so the phase class k = g(s) a holds H[a^-1 k mod q] terms
-    counts = hist[np.arange(pt.q, dtype=np.int64) * pow(pt.a, -1, pt.q) % pt.q]
+    hist = _phase_table(g, pt.q, sieve)
     n_terms = int(hist.sum())
     return ExpSumResult(
-        value=complex(np.dot(counts, roots)),
+        value=_unit_sums(hist, [pt.a])[0],
         n_terms=n_terms,
         est_abs_error=n_terms * 2.0**-46,
     ).check_trivial_bound()
@@ -175,11 +183,8 @@ def sqrt_cancel_audit(
     for q in range(1, q_max + 1):
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1).tolist()  # [0] at q = 1
         sample = sorted(units if len(units) <= AUDIT_SAMPLES else rng.sample(units, AUDIT_SAMPLES))
-        hist, roots = _phase_table(g, q, profile)
-        # row i holds the class counts of a = sample[i]: H[a^-1 k mod q]
-        inverses = np.array([pow(a, -1, q) for a in sample], dtype=np.int64)
-        counts = hist[np.arange(q, dtype=np.int64) * inverses[:, None] % q]
-        abs_sums = [abs(complex(np.dot(row, roots))) for row in counts]
+        hist = _phase_table(g, q, profile)
+        abs_sums = [abs(v) for v in _unit_sums(hist, sample)]
         assert max(abs_sums) <= hist.sum() * (1 + 1e-9) + 1e-9  # the trivial bound
         # omega and the class tags depend on q alone
         w = omega(q)
@@ -308,14 +313,16 @@ def _periodic_weyl_sum(
 
     q | L = lcm(q, wheel) and membership in W(Y) has period L, so with
     X = cL + rem the n = r + mL <= X of a residue r in [1, min(X, L)] share
-    the class g(r) a mod q and weigh W(r) (_period_weights), plus
-    dg(r + cL) when r <= rem.  The residues are taken WEYL_CHUNK at a time,
-    so memory stays bounded as in the stream.  While the bound of
-    _period_weights is below 2^63 the class weights C_k are exact int64
-    sums, each rounded once.  Past it the weights are float64, each split
-    as hi + lo with hi a multiple of step: every partial sum of the hi
+    g(r) mod q and weigh W(r) (_period_weights).  The residues of [1, rem]
+    carry c + 1 terms each and add dg(r + cL) to W(r); those of
+    (rem, min(X, L)] carry c.  Each range is taken WEYL_CHUNK residues at a
+    time, so memory stays bounded as in the stream.  While the bound of
+    _period_weights is below 2^63 the weights of each g(r) mod q are exact
+    int64 sums, each rounded once.  Past it the weights are float64, each
+    split as hi + lo with hi a multiple of step: every partial sum of the hi
     parts stays below 2^53 step, so they add exactly, and only the small lo
-    parts round.  The C_k are dotted with _roots(q), as in complete_sum.
+    parts round.  The sums are read out at a as in complete_sum
+    (_unit_sums), which makes them the class weights C_k.
     """
     X = max(X, 0)  # no term below n = 1
     L = pt.q if profile is None else math.lcm(pt.q, profile.wheel)
@@ -324,28 +331,28 @@ def _periodic_weyl_sum(
     exact = bound < 2**63
     step = 2.0 ** max(bound.bit_length() - 52, 0)
     c, rem = divmod(X, L)
-    T = min(X, L)
     hist = np.zeros(pt.q, dtype=np.int64 if exact else np.float64)
     low = np.zeros(pt.q)
     n_terms, mass = 0, 0
-    for lo in range(1, T + 1, WEYL_CHUNK):
-        r = np.arange(lo, min(lo + WEYL_CHUNK, T + 1), dtype=np.int64)
-        if profile is not None:
-            r = r[profile.mask(len(r), lo=lo)]
-        tail = r <= rem  # r + cL <= X
-        x = r if exact else r.astype(np.float64)
-        weights = np.zeros(len(r), dtype=hist.dtype) + W(x)
-        weights[tail] += dg(x[tail] + c * L)
-        classes = values_mod(g, r, pt.q) * pt.a % pt.q
-        n_terms += c * len(r) + int(np.count_nonzero(tail))
-        mass += np.abs(weights).sum().item()
-        if not exact:
-            hi = np.round(weights / step) * step
-            np.add.at(low, classes, weights - hi)
-            weights = hi
-        np.add.at(hist, classes, weights)
+    for first, last, reps in ((1, rem, c + 1), (rem + 1, min(X, L), c)):
+        for lo in range(first, last + 1, WEYL_CHUNK):
+            r = np.arange(lo, min(lo + WEYL_CHUNK, last + 1), dtype=np.int64)
+            if profile is not None:
+                r = r[profile.mask(len(r), lo=lo)]
+            x = r if exact else r.astype(np.float64)
+            weights = np.zeros(len(r), dtype=hist.dtype) + W(x)
+            if reps > c:  # r + cL <= X
+                weights += dg(x + c * L)
+            classes = values_mod(g, r, pt.q)
+            n_terms += reps * len(r)
+            mass += np.abs(weights).sum().item()
+            if not exact:
+                hi = np.round(weights / step) * step
+                np.add.at(low, classes, weights - hi)
+                weights = hi
+            np.add.at(hist, classes, weights)
     return ExpSumResult(
-        value=complex(np.dot(hist.astype(np.float64) + low, _roots(pt.q))),
+        value=_unit_sums(hist.astype(np.float64) + low, [pt.a])[0],
         n_terms=n_terms,
         est_abs_error=max(mass, 1) * 2.0**-46,
     ).check_trivial_bound(float(mass))
@@ -429,11 +436,7 @@ def major_arc_asymptotic(
     """
     _check_weyl_limit(X)
     q = pt.q
-    pref = Fraction(1, q)
-    for p, (gamma, j, _) in profile.table.items():
-        pg = p**gamma
-        if q % pg != 0:
-            pref *= 1 - Fraction(j, pg)
+    pref = Fraction(1, q) * profile.density(q)
     S = complete_sum(g, pt, sieve=profile).value
     integral = oscillatory_integral(g, beta, X)
     rng = abs(g(X) - g(0))

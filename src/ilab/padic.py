@@ -231,21 +231,30 @@ def _residues(c: int, p: int | np.ndarray):
     return np.array([c % int(m) for m in moduli], dtype=np.int64)[where]
 
 
-def _scan_roots(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]]:
-    """Sorted roots of f mod every prime in primes by values_mod passes over
-    all their residues at once, each against its own prime, about
-    SCAN_BLOCK residues (or one prime) per pass."""
+def roots_mod(f: IntPolynomial, moduli: list[int]) -> dict[int, list[int]]:
+    """Sorted residues r in [0, q) with q | f(r) for every modulus q in
+    moduli (the zero polynomial returns them all).  values_mod passes run
+    over the residues of many moduli at once, each against its own modulus,
+    about SCAN_BLOCK residues (or one modulus) per pass.  The moduli are
+    checked in order before any scan: one below 1 raises ValueError, one
+    past ROOTS_BRUTE_LIMIT ResourceLimit.
+    """
+    for q in moduli:
+        if q < 1:
+            raise ValueError("modulus must be positive")
+        if q > ROOTS_BRUTE_LIMIT:
+            raise ResourceLimit(f"root scan capped at q <= {ROOTS_BRUTE_LIMIT}, got q = {q}")
     out: dict[int, list[int]] = {}
-    ends = np.cumsum(primes)
+    ends = np.cumsum(moduli)
     start = 0
-    while start < len(primes):
+    while start < len(moduli):
         stop = start + int(np.searchsorted(ends[start:], ends[start] + SCAN_BLOCK))
-        sizes = np.array(primes[start:stop], dtype=np.int64)
+        sizes = np.array(moduli[start:stop], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
         s = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(offsets, sizes)
         hits = np.flatnonzero(values_mod(f, s, np.repeat(sizes, sizes)) == 0)
         split = np.split(s[hits], np.searchsorted(hits, offsets[1:]))
-        out.update((p, r.tolist()) for p, r in zip(primes[start:stop], split))
+        out.update((q, r.tolist()) for q, r in zip(moduli[start:stop], split))
         start = stop
     return out
 
@@ -254,9 +263,10 @@ def roots_mod_primes(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]
     """Sorted distinct roots of the nonzero f mod every prime in primes, all
     primes at once.
 
-    Primes up to SCAN_PRIME_LIMIT or deg f share residue scans
-    (_scan_roots).  For each larger prime, g = gcd(x^p - x, f mod p) is the
-    product of the distinct linear factors of f mod p: x^p mod (f, p) comes
+    Primes up to SCAN_PRIME_LIMIT or deg f come from one roots_mod call, so
+    their residues share values_mod passes.  For each larger prime,
+    g = gcd(x^p - x, f mod p) is the product of the distinct linear factors
+    of f mod p: x^p mod (f, p) comes
     from lock-step square-and-multiply in int64 lanes, one lane per prime,
     and the roots are read off g (_split_roots).  p | lc(f) lowers the
     degree of its lane, lanes run grouped by degree, and a lane where
@@ -265,7 +275,7 @@ def roots_mod_primes(f: IntPolynomial, primes: list[int]) -> dict[int, list[int]
     if primes and max(primes) > ROOTS_BRUTE_LIMIT:
         raise ResourceLimit(f"root scan capped at primes p <= {ROOTS_BRUTE_LIMIT}")
     cut = max(SCAN_PRIME_LIMIT, f.degree)
-    out = _scan_roots(f, [p for p in primes if p <= cut])
+    out = roots_mod(f, [p for p in primes if p <= cut])
     out.update(_lane_roots(f, [p for p in primes if p > cut]))
     return out
 
@@ -321,19 +331,6 @@ def _root_levels(f: IntPolynomial, p: int, roots: list[int]):
             )
         roots = _lift_root_level(f, p, roots, j)
         j += 1
-
-
-def roots_mod(p: IntPolynomial, q: int) -> list[int]:
-    """Sorted residues r in [0, q) with q | p(r), by a scan of every residue
-    (the zero polynomial returns them all).  Raises ResourceLimit for q past
-    ROOTS_BRUTE_LIMIT.
-    """
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if q > ROOTS_BRUTE_LIMIT:
-        raise ResourceLimit(f"root scan capped at q <= {ROOTS_BRUTE_LIMIT}, got q = {q}")
-    acc = values_mod(p, np.arange(q, dtype=np.int64), q)
-    return np.flatnonzero(acc == 0).tolist()
 
 
 def hensel_lift(g: IntPolynomial, p: int, n: int, j_target: int) -> int:
@@ -471,10 +468,10 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
 
 
 def _hensel_candidate(
-    f: IntPolynomial, p: int, depth: int, roots: list[int]
+    f: IntPolynomial, df: IntPolynomial, p: int, depth: int, roots: list[int]
 ) -> Optional[tuple[int, int, int]]:
-    """Minimal-precision strong-Hensel witness for a square-free factor,
-    from its sorted distinct roots mod p.
+    """Minimal-precision strong-Hensel witness for a square-free factor f
+    with derivative df, from its sorted distinct roots mod p.
 
     Returns (j, z, v) with f(z) = 0 mod p^j, v = v_p(f'(z)), j >= 2v+1,
     choosing the smallest residue at the minimal such j; None once no root
@@ -484,7 +481,6 @@ def _hensel_candidate(
     - 1) / 2.  Raises ResourceLimit for a lift past ROOTS_BRUTE_LIMIT
     residues.
     """
-    df = f.derivative()
     top = (depth - 1) // 2  # a witness within depth has v <= top
     for j, roots in _root_levels(f, p, roots):
         pj, cut = p**j, p ** ((j + 1) // 2)
@@ -547,13 +543,14 @@ def choose_roots(
     todo = list(primes)
     for f, u in factors:
         roots = roots_mod_primes(f, [p for p in todo if p <= ROOTS_BRUTE_LIMIT])
+        df = f.derivative()
         exact = None
         rest = []
         for p in todo:
             try:
                 if p not in roots:
                     raise ResourceLimit(f"root scan capped at primes p <= {ROOTS_BRUTE_LIMIT}")
-                cand = _hensel_candidate(f, p, depth, roots[p])
+                cand = _hensel_candidate(f, df, p, depth, roots[p])
             except ResourceLimit as exc:
                 cand = None
                 capped.setdefault(p, exc)

@@ -6,7 +6,8 @@ counts the roots of g' at that modulus.  A modulus divides every value of
 g' exactly when it divides G = gcd(Delta^i g'(0) : i <= deg g'), the
 coefficients of g' in the Newton basis binom(x, i), so gamma(p) is
 1 + v_p(G).  W(Y) keeps the inputs avoiding all those root classes for
-p <= Y; W^q(Y) relaxes to the primes whose p^gamma divides q.
+p <= Y; W^q(Y) relaxes to the primes whose p^gamma divides q.  The roots
+of g' at every p^gamma come from one roots_mod call.
 
 Counting is exact.  Membership in W(Y) has the period L = wheel, and by CRT
 one period holds prod (p^gamma - j) members over the primes with roots, so
@@ -53,10 +54,11 @@ class SieveProfile:
     def build(cls, g: IntPolynomial, Y: float) -> "SieveProfile":
         """The table for the primes p <= Y, in ascending order.  Raises
         ResourceLimit once the modulus prod p^gamma reaches
-        10^MODULUS_DIGITS, which also bounds the residues scanned."""
+        10^MODULUS_DIGITS, which also bounds the residues scanned, unless a
+        p^gamma up to that prime is past the scan's ROOTS_BRUTE_LIMIT first."""
         # each prime multiplies the modulus by p^gamma >= p, and the primes
         # up to 3 * MODULUS_DIGITS alone reach the cap: none past them is used
-        table, modulus, cap = {}, 1, 10**MODULUS_DIGITS
+        gammas, modulus, cap = {}, 1, 10**MODULUS_DIGITS
         primes = primes_up_to(min(int(math.floor(Y)), 3 * MODULUS_DIGITS))
         if primes and g.degree < 2:
             raise ValueError(f"the sieve needs degree >= 2, got {g.degree}")
@@ -66,22 +68,22 @@ class SieveProfile:
             G = math.gcd(G, diffs[0])
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         for p in primes:
-            gamma = 1 + v_p(G, p)
-            roots = tuple(roots_mod(dg, p**gamma))
-            table[p] = (gamma, len(roots), roots)
-            modulus *= p**gamma
+            gammas[p] = 1 + v_p(G, p)
+            modulus *= p ** gammas[p]
             if modulus >= cap:
-                raise ResourceLimit(
-                    f"sieve modulus capped at 10^{MODULUS_DIGITS} (reached at p = {p})"
-                )
+                break
+        roots = roots_mod(dg, [p**gamma for p, gamma in gammas.items()])
+        if modulus >= cap:
+            raise ResourceLimit(f"sieve modulus capped at 10^{MODULUS_DIGITS} (reached at p = {p})")
+        table = {p: (e, len(roots[p**e]), tuple(roots[p**e])) for p, e in gammas.items()}
         return cls(g=g, Y=Y, table=table, modulus=modulus)
 
-    def density(self) -> Fraction:
-        """prod (1 - j(p)/p^gamma(p)), exactly."""
-        out = Fraction(1)
-        for p, (gamma, j, _) in self.table.items():
-            out *= 1 - Fraction(j, p**gamma)
-        return out
+    def density(self, q: int | None = None) -> Fraction:
+        """prod (1 - j(p)/p^gamma(p)) = prod (p^gamma - j) / prod p^gamma,
+        exactly, over the primes whose p^gamma does not divide q (all when
+        q is None)."""
+        kept = [(p**e, j) for p, (e, j, _) in self.table.items() if q is None or q % p**e]
+        return Fraction(math.prod(pg - j for pg, j in kept), math.prod(pg for pg, _ in kept))
 
     @property
     def wheel(self) -> int:

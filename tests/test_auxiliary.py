@@ -94,7 +94,7 @@ class TestRd:
         fam = AuxiliaryFamily(QUINTIC)
         r9 = fam.r_of(9)
         assert -9 < r9 <= 0
-        assert r9 % 9 in roots_mod(QUINTIC, 9)
+        assert r9 % 9 in roots_mod(QUINTIC, [9])[9]
 
     def test_divisibility(self):
         rng = random.Random(301)

@@ -143,6 +143,13 @@ class TestExitCodes:
              "sieve modulus capped at 10^4000 (reached at p = 9337)"),
             (("sieve", "table", "--poly", "1048576x^2", "--Y", "3"),
              "root scan capped at q <= 1000000, got q = 4194304"),
+            # 2^22 is past the scan limit at p = 2, long before the cap at p = 9337
+            (("sieve", "table", "--poly", "1048576x^2", "--Y", "20000"),
+             "root scan capped at q <= 1000000, got q = 4194304"),
+            # the search needs about 13 000 nodes to exhaust
+            (("sets", "search", "--q", "305", "--k", "2", "--mode", "exhaustive",
+              "--budget", "500"),
+             "exhaustive search cut at its budget of 500 nodes (q = 305)"),
             # exact n-th roots: N = 10^400 no longer passes through a float
             (("sets", "greedy", "--gens", "x^2", "--N", str(10**400)),
              f"image enumeration capped at 10000000 values of n, got {10**200 + 2}"),
@@ -179,7 +186,8 @@ class TestExitCodes:
              f"got {SET_FILE_LIMIT + 1}"),
         ],
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
-             "modulus-1e300", "sieve-scan", "image-N-1e400", "greedy-N-past-bitset",
+             "modulus-1e300", "sieve-scan", "sieve-scan-before-cap", "search-exhaustive-cut",
+             "image-N-1e400", "greedy-N-past-bitset",
              "greedy-N-1e13", "trivial-N-1e400", "trivial-past-limit", "ruzsa-N", "audit-sqrt-total",
              "aux-audit-dmax", "major-X-1e30", "major-beta0-X-1e200", "dfset-long-run",
              "dfset-run-total"],
@@ -604,6 +612,20 @@ class TestPlumbing:
         lines = out.strip().splitlines()
         assert lines[0] == "N,method,size,density,fs_bound_shape,exp_bound_shape"
         assert len(lines) == 5  # header + (greedy, trivial) x 2
+
+    def test_density_table_has_no_methods_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sets", "table", "--gens", "x^2", "--Ns", "100", "--methods", "greedy"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --methods greedy" in captured.err
+
+    def test_exhaustive_search_proves_alpha_past_q32(self, capsys):
+        code, out = run_cli(capsys, "sets", "search", "--q", "40", "--k", "2",
+                            "--mode", "exhaustive")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["optimal"], payload["size"], payload["upper_bound"]) == (True, 7, 7)
 
     def test_density_table_blank_where_shape_undefined(self, capsys):
         # log log log log 10 is undefined: the fs shape is a blank field, not nan

@@ -623,7 +623,7 @@ class TestModularSearch:
                 rest = ((1 << q) - 1) & ~(adj[0] | 1)
                 ref_bits, ref_nodes, exhausted = reference_max_independent(adj, rest, root=1)
                 assert exhausted
-                res = modular_search(q, k, mode="exhaustive" if q <= 32 else "branch_bound")
+                res = modular_search(q, k, mode="exhaustive")
                 assert res.size == bin(ref_bits).count("1") == res.upper_bound and res.optimal
                 assert verify_modular(res.best, q, power_residues(q, k))
                 assert res.nodes <= ref_nodes
@@ -675,7 +675,11 @@ class TestModularSearch:
         monkeypatch.setattr(diffsets, "_greedy_passes", refuse)
         assert modular_search(205, 2).optimal
         assert modular_search(205, 2, budget=10, target=3).size >= 3  # target met
-        assert not modular_search(30, 2, budget=1, mode="exhaustive").optimal
+        # an exhaustive search stopped by its target still returns; one that
+        # its budget cuts refuses instead
+        assert modular_search(205, 2, mode="exhaustive", budget=10, target=3).size >= 3
+        with pytest.raises(ResourceLimit, match=r"budget of 1 nodes \(q = 30\)"):
+            modular_search(30, 2, budget=1, mode="exhaustive")
         with pytest.raises(AssertionError, match="warm start ran"):
             modular_search(205, 2, budget=10)
 

@@ -284,13 +284,13 @@ class TestRootTable:
     @pytest.mark.parametrize("Q", [1, 2, 3, 7, 97, 1000, 4096, 65537])
     def test_complete_sum_and_weyl_tables_are_the_same_bytes(self, Q):
         # g = x at 1/Q reads the whole table in order, the table that
-        # complete sums and class-weight Weyl sums dot with; the direct
-        # route exp(2 pi i _phases) of a streamed term gives the same bytes
+        # complete sums and class-weight Weyl sums dot with (_unit_sums);
+        # the direct route exp(2 pi i _phases) of a streamed term gives the
+        # same bytes
         x = IntPolynomial([0, 1])
         n = np.arange(Q, dtype=np.int64)
-        _, table = _phase_table(x, Q, None)
         direct = np.exp(2j * np.pi * _phases(x, 1 % Q, Q, 0.0, n))
-        assert table.tobytes() == _roots(Q).tobytes() == direct.tobytes()
+        assert _roots(Q).tobytes() == direct.tobytes()
 
 
 def pairwise_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> complex:
@@ -432,6 +432,94 @@ def assert_class_weights(g, pt, X, profile, weighted):
     assert streamed.n_terms == n_terms
     assert abs(res.value - streamed.value) <= res.est_abs_error
     return res
+
+
+def frozen_complete_sum(g, pt, sieve=None):
+    """(value, n_terms) of complete_sum as it read its histogram out before
+    the shared read-out: one gather by a^-1 and one dot with _roots(q)."""
+    hist = _phase_table(g, pt.q, sieve)
+    counts = hist[np.arange(pt.q, dtype=np.int64) * pow(pt.a, -1, pt.q) % pt.q]
+    return complex(np.dot(counts, _roots(pt.q))), int(hist.sum())
+
+
+def frozen_periodic_weyl_sum(g, pt, X, profile, weighted):
+    """(value, n_terms) of the beta = 0 class-weight sum as it ran before
+    the shared read-out: one walk over [1, min(X, L)] that bins by
+    g(r) a mod q per residue and adds dg(r + cL) to the r <= X mod L
+    through a boolean tail mask."""
+    X = max(X, 0)
+    L = pt.q if profile is None else math.lcm(pt.q, profile.wheel)
+    dg = g.derivative() if weighted else ONE
+    W, bound = _period_weights(dg, L, X)
+    exact = bound < 2**63
+    step = 2.0 ** max(bound.bit_length() - 52, 0)
+    c, rem = divmod(X, L)
+    T = min(X, L)
+    hist = np.zeros(pt.q, dtype=np.int64 if exact else np.float64)
+    low = np.zeros(pt.q)
+    n_terms = 0
+    for lo in range(1, T + 1, WEYL_CHUNK):
+        r = np.arange(lo, min(lo + WEYL_CHUNK, T + 1), dtype=np.int64)
+        if profile is not None:
+            r = r[profile.mask(len(r), lo=lo)]
+        tail = r <= rem
+        x = r if exact else r.astype(np.float64)
+        weights = np.zeros(len(r), dtype=hist.dtype) + W(x)
+        weights[tail] += dg(x[tail] + c * L)
+        classes = values_mod(g, r, pt.q) * pt.a % pt.q
+        n_terms += c * len(r) + int(np.count_nonzero(tail))
+        if not exact:
+            hi = np.round(weights / step) * step
+            np.add.at(low, classes, weights - hi)
+            weights = hi
+        np.add.at(hist, classes, weights)
+    return complex(np.dot(hist.astype(np.float64) + low, _roots(pt.q))), n_terms
+
+
+def value_bits(value, n_terms):
+    """The exact bits of a complex value, with its term count."""
+    return value.real.hex(), value.imag.hex(), n_terms
+
+
+class TestFrozenReadOut:
+    """Complete sums and audit rows against the frozen read-out, bit for bit."""
+
+    def test_complete_sums(self):
+        rng = random.Random(611)
+        for _ in range(150):
+            g = IntPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(2, 5))]
+                              + [rng.randint(1, 9)])
+            q = rng.randint(1, 400)
+            pt = RationalPoint(rng.choice([a for a in range(q) if math.gcd(a, q) == 1]), q)
+            for sieve in (None, SieveProfile.build(g, rng.choice([0, 5, 10, 20]))):
+                res = complete_sum(g, pt, sieve)
+                want = frozen_complete_sum(g, pt, sieve)
+                assert value_bits(res.value, res.n_terms) == value_bits(*want)
+
+    def test_audit_rows(self):
+        g = parse_poly("3x^4-2x+5")
+        profile = SieveProfile.build(g, 20)
+        rows, _ = sqrt_cancel_audit(g, 120, 20, seed=7)
+        for row in rows:
+            value, _ = frozen_complete_sum(g, RationalPoint(row["a"], row["q"]), profile)
+            assert row["abs_sum"].hex() == abs(value).hex()
+
+    def test_class_weight_sums(self):
+        # int64 and float64 weights, X below, at and past the period
+        rng = random.Random(612)
+        for _ in range(60):
+            g = IntPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(2, 5))]
+                              + [rng.randint(1, 20)])
+            q = rng.randint(1, 400)
+            pt = RationalPoint(rng.choice([a for a in range(q) if math.gcd(a, q) == 1]), q)
+            profile = SieveProfile.build(g, rng.choice([0, 5, 10]))
+            L = wheel_period(q, profile)
+            for X in (0, L - 1, L, L + 1, 2 * L + 1, rng.randint(0, 3 * L)):
+                X = min(X, 2 * 10**5)
+                for weighted in (False, True):
+                    res = _periodic_weyl_sum(g, pt, X, profile, weighted)
+                    want = frozen_periodic_weyl_sum(g, pt, X, profile, weighted)
+                    assert value_bits(res.value, res.n_terms) == value_bits(*want), (g, pt, X)
 
 
 class TestPeriodicWeylSum:

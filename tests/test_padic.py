@@ -105,12 +105,36 @@ class TestValuesMod:
 
 class TestRootsMod:
     def test_examples(self):
-        assert roots_mod(parse_poly("x^2-1"), 8) == [1, 3, 5, 7]
-        assert roots_mod(parse_poly("x^2+1"), 3) == []
-        assert roots_mod(parse_poly("0,1"), 5) == [0]
+        assert roots_mod(parse_poly("x^2-1"), [8])[8] == [1, 3, 5, 7]
+        assert roots_mod(parse_poly("x^2+1"), [3])[3] == []
+        assert roots_mod(parse_poly("0,1"), [5])[5] == [0]
 
     def test_zero_poly_returns_everything(self):
-        assert roots_mod(IntPolynomial(()), 6) == [0, 1, 2, 3, 4, 5]
+        assert roots_mod(IntPolynomial(()), [6])[6] == [0, 1, 2, 3, 4, 5]
+
+    def test_mixed_moduli_match_a_per_modulus_scan(self):
+        # primes, prime powers, composites and 1 in one list, long enough to
+        # take several SCAN_BLOCK passes, one of them a lone modulus past it
+        rng = random.Random(205)
+        pool = [1, 2, 3, 4, 7, 8, 9, 12, 25, 30, 97, 100, 243, 360, 1000, 1024, 2003, 4999]
+        for trial in range(40):
+            p = IntPolynomial(()) if trial == 0 else random_poly(rng, deg_max=5)
+            moduli = rng.sample(pool, rng.randint(1, len(pool)))
+            if trial % 10 == 1:
+                moduli += [padic.SCAN_BLOCK + 3, 5 * padic.SCAN_BLOCK]
+            got = roots_mod(p, moduli)
+            assert list(got) == moduli
+            for q in moduli:
+                assert got[q] == [r for r in range(q) if p(r) % q == 0], (p, q)
+
+    def test_guards_fire_in_the_order_of_the_moduli(self):
+        big = padic.ROOTS_BRUTE_LIMIT + 1
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            roots_mod(X2, [5, 0, big])
+        message = f"^root scan capped at q <= 1000000, got q = {big}$"
+        with pytest.raises(ResourceLimit, match=message):
+            roots_mod(X2, [5, big, -1])
+        assert roots_mod(X2, []) == {}
 
     def test_crt_merge_property(self):
         rng = random.Random(200)
@@ -121,11 +145,11 @@ class TestRootsMod:
             if math.gcd(q1, q2) != 1:
                 continue
             merged = set()
-            for r1 in roots_mod(p, q1):
-                for r2 in roots_mod(p, q2):
+            for r1 in roots_mod(p, [q1])[q1]:
+                for r2 in roots_mod(p, [q2])[q2]:
                     r, _ = crt_pair(r1, q1, r2, q2)
                     merged.add(r)
-            assert sorted(merged) == roots_mod(p, q1 * q2)
+            assert sorted(merged) == roots_mod(p, [q1 * q2])[q1 * q2]
 
     def test_against_sympy_polynomial_congruence(self):
         sympy = pytest.importorskip("sympy")
@@ -142,7 +166,7 @@ class TestRootsMod:
             q = rng.choice(moduli)
             expr = sum(c * x**i for i, c in enumerate(p.coeffs))
             want = sorted(int(r) for r in polynomial_congruence(expr, q))
-            assert roots_mod(p, q) == want
+            assert roots_mod(p, [q])[q] == want
             (prime, e), = factorize(q)
             assert prime_power_roots(p, prime, e) == want  # the oracle past the scan
 
@@ -164,7 +188,7 @@ class TestHensel:
         for _ in range(60):
             p = random_poly(rng)
             prime = rng.choice([2, 3, 5, 7, 11])
-            roots = roots_mod(p, prime)
+            roots = roots_mod(p, [prime])[prime]
             dp = p.derivative()
             for z in roots:
                 d = dp(z)
@@ -194,7 +218,7 @@ class TestChooseRoot:
         assert c.verify(QUINTIC)
         # the cubic factor supplies the lift: residue mod 27 must be a root
         for e in (1, 2, 3):
-            assert c.residue_mod(e) in roots_mod(QUINTIC, 3**e)
+            assert c.residue_mod(e) in roots_mod(QUINTIC, [3**e])[3**e]
 
     def test_first_simple_root_at_every_position(self):
         # a double root mod p at 3 (from x-3 and x-3-p) precedes the simple
@@ -332,8 +356,8 @@ class TestGuardedLifts:
         # 2^19 x vanishes at every residue mod 2^19, so a lift to 2^20 would
         # ask for 2^20 candidates: roots_mod refuses the modulus outright
         with pytest.raises(ResourceLimit, match="root scan capped at q <= 1000000, got q = 1048576"):
-            roots_mod(IntPolynomial([0, 2**19]), 2**20)
-        assert roots_mod(IntPolynomial([0, 2**19]), 2**19) == list(range(2**19))
+            roots_mod(IntPolynomial([0, 2**19]), [2**20])
+        assert roots_mod(IntPolynomial([0, 2**19]), [2**19])[2**19] == list(range(2**19))
 
     def test_prime_past_the_limit(self):
         p = 1000003
@@ -343,7 +367,7 @@ class TestGuardedLifts:
         with pytest.raises(ResourceLimit, match="primes p <= 1000000"):
             choose_root(QUINTIC, p)
         with pytest.raises(ResourceLimit, match="q <= 1000000"):
-            roots_mod(QUINTIC, p)
+            roots_mod(QUINTIC, [p])
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError, match="depth must be >= 1, got 0"):

@@ -40,6 +40,7 @@ from ilab.diffsets import (  # noqa: E402
     power_residues,
     verify_modular,
 )
+import ilab.expsum as expsum  # noqa: E402
 from ilab.expsum import RationalPoint, _phases  # noqa: E402
 import ilab.padic as padic  # noqa: E402
 from ilab.padic import (  # noqa: E402
@@ -65,7 +66,12 @@ from test_auxiliary import audit_outcome, per_d_audit  # noqa: E402
 from test_circle import direct_correlation_counts, fft_correlation_counts  # noqa: E402
 from test_cli import per_line_load_set  # noqa: E402
 from test_diffsets import greedy_loop, vertex_orbit_alpha  # noqa: E402
-from test_expsum import assert_class_weights, wheel_period  # noqa: E402
+from test_expsum import (  # noqa: E402
+    assert_class_weights,
+    frozen_periodic_weyl_sum,
+    value_bits,
+    wheel_period,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 PRIMES = primes_up_to(2000)
@@ -150,7 +156,7 @@ def test_choose_root_j1_is_smallest_simple_root(case):
     simple = {}
     for f, _ in factors:
         df = f.derivative()
-        simple[f] = [z for z in roots_mod(f, p) if df.eval_mod(z, p) != 0]
+        simple[f] = [z for z in roots_mod(f, [p])[p] if df.eval_mod(z, p) != 0]
     first, u = factors[0]
     if simple[first]:
         assert cert is not None and cert.factor == first and cert.m == u
@@ -509,6 +515,44 @@ def test_periodic_weyl_sum_is_the_class_weight_sum(case):
     # (bit for bit while they are int64), and the streamed sum within
     # est_abs_error
     assert_class_weights(*case)
+
+
+@st.composite
+def frozen_weyl_case(draw):
+    """g of degree 1-5 with coefficients in +-20, a unit a mod q <= 400,
+    no sieve or Y in {0, 5, 10, 20} (0 alone below degree 2), weighted or
+    not, and X at L - 1, L, L + 1, 2L or up to 3L, capped at 2 * 10^5."""
+    degree = draw(st.integers(1, 5))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree))
+    g = IntPolynomial(coeffs + [draw(st.integers(-20, 20).filter(bool))])
+    q = draw(st.integers(1, 400))
+    a = draw(st.sampled_from([x for x in range(q) if math.gcd(x, q) == 1]))
+    Ys = [None, 0, 5, 10, 20] if degree >= 2 else [None, 0]
+    Y = draw(st.sampled_from(Ys))
+    profile = None if Y is None else SieveProfile.build(g, Y)
+    L = wheel_period(q, profile)
+    X = draw(st.one_of(st.sampled_from([L - 1, L, L + 1, 2 * L]), st.integers(0, 3 * L)))
+    return g, RationalPoint(a, q), min(X, 2 * 10**5), profile, draw(st.booleans())
+
+
+def float_weight_case(text, a, q, X, Y):
+    g = parse_poly(text)
+    return g, RationalPoint(a, q), X, SieveProfile.build(g, Y), True
+
+
+@PROPERTY
+@given(frozen_weyl_case())
+# float64 weights: one period of 630, the class sums of 7x^5 near 2e28, the
+# quintic at 2/5, and one class of 315888 members past a wheel wider than X
+@example(float_weight_case("x^3", 1, 3, 10**8, 10))
+@example(float_weight_case("7x^5", 1, 3, 5 * 10**5, 5))
+@example(float_weight_case("(x^3-19)(x^2+x+1)", 2, 5, 10**6, 10))
+@example(float_weight_case("x^3", 0, 1, 2 * 10**6, 30))
+def test_class_weight_sum_matches_the_frozen_walk(case):
+    # value bits and n_terms of the two-range walk read out by _unit_sums
+    # against the one-range walk with a tail mask that bins by g(r) a mod q
+    res = expsum._periodic_weyl_sum(*case)
+    assert value_bits(res.value, res.n_terms) == value_bits(*frozen_periodic_weyl_sum(*case))
 
 
 @st.composite

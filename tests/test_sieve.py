@@ -3,12 +3,15 @@ Brun main-term comparison."""
 
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from ilab.arith import primes_up_to
+from ilab.arith import primes_up_to, v_p
+import ilab.padic as padic
+from ilab.padic import ResourceLimit
 from ilab.poly import IntPolynomial, parse_poly
 import ilab.sieve as sieve
 from ilab.sieve import (
@@ -70,11 +73,73 @@ class TestGammaJ:
                 assert j == len(roots)
 
 
+def per_prime_build(g, Y):
+    """(table, modulus) of SieveProfile.build as it ran before its one
+    roots_mod call: prime by prime, the roots of g' by a scan of p^gamma
+    residues, then the modulus cap; the first guard to trip raises."""
+    dg = g.derivative()
+    G = math.gcd(*(int(sum((-1) ** (i - t) * math.comb(i, t) * dg(t) for t in range(i + 1)))
+                   for i in range(dg.degree + 1)))
+    table, modulus = {}, 1
+    for p in primes_up_to(min(int(Y), 3 * sieve.MODULUS_DIGITS)):
+        gamma = 1 + v_p(G, p)
+        pg = p**gamma
+        if pg > padic.ROOTS_BRUTE_LIMIT:
+            raise ResourceLimit(f"root scan capped at q <= {padic.ROOTS_BRUTE_LIMIT}, got q = {pg}")
+        roots = tuple(r for r in range(pg) if dg(r) % pg == 0)
+        table[p] = (gamma, len(roots), roots)
+        modulus *= pg
+        if modulus >= 10**sieve.MODULUS_DIGITS:
+            raise ResourceLimit(
+                f"sieve modulus capped at 10^{sieve.MODULUS_DIGITS} (reached at p = {p})"
+            )
+    return table, modulus
+
+
+def build_outcome(build, g, Y):
+    """build's (table, modulus), or the message of the ResourceLimit it raised."""
+    try:
+        return build(g, Y)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
 class TestModulusGuard:
     def test_primes_read_reach_the_cap(self):
         # build reads primes only up to 3 * MODULUS_DIGITS: their product
         # alone must reach the cap, so a larger Y changes nothing
         assert math.prod(primes_up_to(3 * MODULUS_DIGITS)) >= 10**MODULUS_DIGITS
+
+    def one_call(self, g, Y):
+        profile = SieveProfile.build(g, Y)
+        return profile.table, profile.modulus
+
+    def test_tables_match_the_per_prime_loop(self):
+        rng = random.Random(410)
+        for _ in range(60):
+            k = rng.randint(2, 5)
+            g = IntPolynomial([rng.randint(-30, 30) for _ in range(k)]
+                              + [rng.choice([1, 2, 3, 6, 12, 24])])
+            Y = rng.choice([0, 2, 3, 10, 30, 60])
+            assert self.one_call(g, Y) == per_prime_build(g, Y)
+
+    @pytest.mark.parametrize(
+        "poly, message",
+        [
+            # 19^2 = 361 is past the scan limit before the cap is reached at p = 29
+            ("19x^2", "root scan capped at q <= 300, got q = 361"),
+            # 23^2 = 529 at the prime where the modulus reaches the cap
+            ("23x^2", "root scan capped at q <= 300, got q = 529"),
+            # 37^2 lies past the cap prime: the cap is the guard that trips
+            ("37x^2", "sieve modulus capped at 10^10 (reached at p = 29)"),
+        ],
+    )
+    def test_guard_order(self, monkeypatch, poly, message):
+        monkeypatch.setattr(sieve, "MODULUS_DIGITS", 10)
+        monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 300)
+        g = parse_poly(poly)
+        assert build_outcome(self.one_call, g, 100) == message
+        assert build_outcome(per_prime_build, g, 100) == message
 
 
 class TestMembership:
@@ -264,7 +329,27 @@ class TestBrun:
         assert not brun_compare(pr, 50).in_regime
 
 
+def fraction_loop_density(profile, q=None):
+    """prod (1 - j/p^gamma) over the primes whose p^gamma does not divide q,
+    one Fraction factor at a time."""
+    out = Fraction(1)
+    for p, (gamma, j, _) in profile.table.items():
+        if q is None or q % p**gamma:
+            out *= 1 - Fraction(j, p**gamma)
+    return out
+
+
 class TestProductLower:
+    def test_density_matches_the_fraction_loop(self):
+        rng = random.Random(411)
+        for _ in range(60):
+            profile = random_profile(rng)
+            qs = [None, 1, 2, 4, 12, 360, profile.wheel, rng.randint(1, 10**6)]
+            for q in qs:
+                assert profile.density(q) == fraction_loop_density(profile, q)
+        # every p^gamma divides the modulus, so nothing is left
+        assert profile.density(profile.modulus) == 1
+
     def test_y2(self):
         assert float(SieveProfile.build(X2, 2).density()) == 0.5
 
