@@ -51,4 +51,4 @@ print("inside A, an element of I(h_d).")
 print()
 print("Image sets I(h_d) truncated to [1, 2000]:")
 for d in (1, 2, 3):
-    print(f"  I(h_{d}) cap [1,2000] = {image_elements(fam.aux_poly(d), 2000)}")
+    print(f"  I(h_{d}) cap [1,2000] = {image_elements(fam.aux_poly(d), 2000).tolist()}")

@@ -35,7 +35,7 @@ from .diffsets import (
 from .expsum import RationalPoint, complete_sum, crt_split, major_arc_asymptotic
 from .padic import is_intersective
 from .poly import IntPolynomial, parse_poly, preimage_symdiff
-from .sieve import SieveProfile, enumerate_w
+from .sieve import SieveProfile, brun_compare
 
 X2 = parse_poly("x^2")
 X3 = parse_poly("x^3")
@@ -199,9 +199,7 @@ def check_7_brun(quick: bool = False) -> dict:
     """Brun main-term accuracy at g=x^2, Y=20, X=1e7, plus exact periodicity."""
     X = 10**6 if quick else 10**7
     profile = SieveProfile.build(X2, 20)
-    exact = enumerate_w(profile, X)
-    main = float(X * profile.density())
-    rel = abs(exact - main) / X
+    brun = brun_compare(profile, X)
     M = profile.modulus
     rng = random.Random(7)
     probes = 2000 if quick else 10**4
@@ -212,11 +210,11 @@ def check_7_brun(quick: bool = False) -> dict:
     return {
         "criterion": 7,
         "name": "Brun sieve",
-        "passed": rel <= 1e-3 and periodic,
+        "passed": brun.relative_error <= 1e-3 and periodic,
         "X": X,
-        "exact": exact,
-        "main": main,
-        "rel_err": rel,
+        "exact": brun.exact,
+        "main": brun.main,
+        "rel_err": brun.relative_error,
         "periodicity_probes": probes,
         "periodic": periodic,
     }

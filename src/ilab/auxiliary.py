@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import crt_pair, factorize, integer_nth_root, primes_up_to
-from .padic import RootCert, ResourceLimit, choose_roots
+from .padic import SCAN_BLOCK, RootCert, ResourceLimit, choose_roots
 from .poly import (
     IntPolynomial,
     content,
@@ -25,6 +25,7 @@ from .poly import (
     shift_scale,
     square_free_decomposition,
 )
+from .setio import sorted_distinct
 
 IMAGE_LIMIT = 10**7
 AUDIT_D_LIMIT = 10**6
@@ -236,18 +237,17 @@ def image_cutoff(p: IntPolynomial, bound: int) -> int:
     return cutoff
 
 
-def image_elements(p: IntPolynomial, bound: int) -> list[int]:
-    """I(p) intersected with [1, bound], exactly.
+def image_elements(p: IntPolynomial, bound: int) -> np.ndarray:
+    """I(p) intersected with [1, bound < 2^63], exactly, as a sorted int64 array.
 
     I(p) is the set of positive values of p over n = 1, 2, ... when the
     leading coefficient is positive, and the absolute values of the negative
-    ones when it is negative.
+    ones when it is negative.  Evaluated in Python ints, SCAN_BLOCK n at a time.
     """
     cutoff = image_cutoff(p, bound)
     q = p if p.leading > 0 else -p
-    out = set()
-    for n in range(1, cutoff + 1):
-        v = q(n)
-        if 0 < v <= bound:
-            out.add(v)
-    return sorted(out)
+    kept = [np.empty(0, dtype=np.int64)]
+    for start in range(1, cutoff + 1, SCAN_BLOCK):
+        v = q(np.arange(start, min(start + SCAN_BLOCK, cutoff + 1)).astype(object))
+        kept.append(v[(v > 0) & (v <= bound)].astype(np.int64))
+    return sorted_distinct(np.concatenate(kept))

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_acceptance
+from .arith import factorize
 from .auxiliary import AuxiliaryFamily, content_bound_audit
 from .circle import Progression, classify, dft_indicator, extract_progression
 from .diffsets import (
@@ -330,7 +331,7 @@ def cmd_sets_search(args) -> dict:
     res = modular_search(
         args.q, args.k, mode=args.mode, budget=args.budget, seed=args.seed, target=args.target
     )
-    return {
+    payload = {
         "q": args.q,
         "k": args.k,
         "mode": args.mode,
@@ -339,8 +340,14 @@ def cmd_sets_search(args) -> dict:
         "optimal": res.optimal,
         "nodes": res.nodes,
         "upper_bound": res.upper_bound,
-        "exponent": ruzsa_exponent(args.q, res.size, args.k) if res.size else None,
+        "exponent": None,
     }
+    # the exponent is the Ruzsa lift's, and the digit lift needs square-free q
+    if any(e > 1 for _, e in factorize(args.q)):
+        payload["exponent_reason"] = f"q = {args.q} is not square-free, so no Ruzsa lift exists"
+    else:
+        payload["exponent"] = ruzsa_exponent(args.q, res.size, args.k)
+    return payload
 
 
 def cmd_sets_ruzsa(args) -> dict:

@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .arith import factorize, integer_nth_root, is_prime
 from .auxiliary import image_cutoff, image_elements
 from .padic import ResourceLimit
 from .poly import IntPolynomial
+from .setio import sorted_distinct
 
 SUMSET_LIMIT = 10**8
 BITSET_LIMIT = 2**28  # bits, so the bool mask behind one bitset stays <= 256 MiB
@@ -76,16 +77,15 @@ class Violation:
         }
 
 
-def _bits_from(members: Collection[int]) -> int:
+def _bits_from(members: Iterable[int]) -> int:
     """The int with bit m set for every m in members (all >= 0), packed from
     a bool mask of max(members) + 1 entries."""
-    if not members:
-        return 0
-    top = max(members)
+    members = sorted_distinct(members)
+    top = int(members[-1]) if len(members) else -1
     if top >= BITSET_LIMIT:
         raise ResourceLimit(f"bitset capped at {BITSET_LIMIT} bits (largest member {top})")
     mask = np.zeros(top + 1, dtype=bool)
-    mask[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+    mask[members] = True
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
@@ -93,40 +93,44 @@ def _lsb_index(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def forbidden_sumset(generators: Sequence[IntPolynomial], N: int) -> list[int]:
-    """I(g_1) + ... + I(g_l) truncated to [1, N-1], as a sorted list.
+def forbidden_sumset(generators: Sequence[IntPolynomial], N: int) -> np.ndarray:
+    """I(g_1) + ... + I(g_l) truncated to [1, N-1], as a sorted int64 array.
 
-    Each step forms |acc| * |img| pair sums; that product is capped at
-    SUMSET_LIMIT.
+    Each further generator forms |F| * |img| pair sums, capped at
+    SUMSET_LIMIT; once F is empty, no further image is enumerated.
     """
     if not generators:
         raise ValueError("at least one generator required")
-    acc = {0}
-    for g in generators:
+    F = image_elements(generators[0], N - 1)
+    for g in generators[1:]:
+        if not len(F):
+            break
         img = image_elements(g, N - 1)
-        if len(acc) * len(img) > SUMSET_LIMIT:
+        if len(F) * len(img) > SUMSET_LIMIT:
             raise ResourceLimit(
                 f"forbidden sumset capped at {SUMSET_LIMIT} pair sums per generator "
-                f"({len(acc)} x {len(img)})"
+                f"({len(F)} x {len(img)})"
             )
-        acc = {a + v for a in acc for v in img if a + v <= N - 1}
-        if not acc:
-            return []
-    return sorted(v for v in acc if v >= 1)
+        F = sorted_distinct({a + v for a in F.tolist() for v in img.tolist() if a + v <= N - 1})
+    return F
 
 
 class DiffFreeInstance:
-    """A candidate difference-free set A inside [1, N]."""
+    """A candidate difference-free set A inside [1, N]; members is A as a sorted
+    int64 array (an int64 ndarray passed in is sorted in place)."""
 
-    def __init__(
-        self, N: int, generators: Sequence[IntPolynomial], members
-    ):
+    def __init__(self, N: int, generators: Sequence[IntPolynomial], members: Iterable[int]):
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
+        if N >= 2**63:
+            raise ResourceLimit(f"sets capped at N < 2^63 (int64 members), got {N}")
         self.N = N
         self.generators = tuple(generators)
-        self.members = frozenset(int(m) for m in members)
-        if self.members and not (1 <= min(self.members) and max(self.members) <= N):
+        try:
+            self.members = sorted_distinct(members)
+        except OverflowError:  # a member past int64 is past N too
+            raise ValueError("members must lie in [1, N]") from None
+        if len(self.members) and not (1 <= self.members[0] and self.members[-1] <= N):
             raise ValueError("members must lie in [1, N]")
 
     @cached_property
@@ -134,7 +138,7 @@ class DiffFreeInstance:
         return _bits_from(self.members)
 
     @cached_property
-    def forbidden(self) -> list[int]:
+    def forbidden(self) -> np.ndarray:
         return forbidden_sumset(self.generators, self.N)
 
     @property
@@ -152,45 +156,42 @@ def decompose_difference(
     images = [image_elements(g, bound) for g in generators]
 
     def rec(i: int, rem: int) -> Optional[tuple[int, ...]]:
+        img = images[i]
+        below = int(np.searchsorted(img, rem))  # the image values < rem
         if i == len(images) - 1:
-            return (rem,) if rem in image_sets[i] else None
-        for v in images[i]:
-            if v >= rem:
-                break
+            return (rem,) if below < len(img) and img[below] == rem else None
+        for v in img[:below].tolist():
             tail = rec(i + 1, rem - v)
             if tail is not None:
                 return (v,) + tail
         return None
 
-    image_sets = [set(img) for img in images]
     return rec(0, diff)
 
 
-def _shift_and_hit(A: int, F: Sequence[int]) -> Optional[tuple[int, int]]:
-    """(f, a') for the smallest f in F with a' and a' + f both in the bitset
-    A, taking the lowest such a'; None when there is none."""
-    for f in F:
+def _shift_and_hit(A: int, F: np.ndarray) -> Optional[tuple[int, int]]:
+    """(f, a') for the smallest f in the sorted array F with a' and a' + f
+    both in the bitset A, taking the lowest such a'; None when there is none."""
+    for f in F.tolist():  # Python ints: A >> np.int64 overflows
         hit = A & (A >> f)
         if hit:
             return f, _lsb_index(hit)
     return None
 
 
-def _pairwise_hit(members: Sequence[int], F: Sequence[int]) -> Optional[tuple[int, int]]:
+def _pairwise_hit(A: np.ndarray, F: np.ndarray) -> Optional[tuple[int, int]]:
     """The same (f, a') as _shift_and_hit, from the differences of the sorted
-    members looked up in the sorted F, one row a' at a time."""
-    A = np.asarray(members, dtype=np.int64)
-    Fa = np.asarray(F, dtype=np.int64)
-    if not len(Fa):
+    int64 members A looked up in F, one row a' at a time."""
+    if not len(F):
         return None
     best: Optional[tuple[int, int]] = None
-    reach = int(Fa[-1])  # after a hit, only differences below its f can win
+    reach = int(F[-1])  # after a hit, only differences below its f can win
     for i in range(len(A) - 1):
         a = int(A[i])
         stop = np.searchsorted(A, a + reach, "right")
         diffs = A[i + 1 : stop] - a
-        pos = np.searchsorted(Fa, diffs)
-        found = diffs[Fa[pos] == diffs]  # diffs <= reach <= max F keeps pos in range
+        pos = np.searchsorted(F, diffs)
+        found = diffs[F[pos] == diffs]  # diffs <= reach <= max F keeps pos in range
         if len(found):
             best = int(found[0]), a
             reach = best[0] - 1
@@ -212,7 +213,7 @@ def verify(inst: DiffFreeInstance) -> Optional[Violation]:
         return None
     F = inst.forbidden
     if PAIR_COST_WORDS * n * (n - 1) // 2 < len(F) * -(-inst.N // 64):
-        hit = _pairwise_hit(sorted(inst.members), F)
+        hit = _pairwise_hit(inst.members, F)
     else:
         hit = _shift_and_hit(inst.bits, F)
     if hit is None:
@@ -225,8 +226,8 @@ def verify(inst: DiffFreeInstance) -> Optional[Violation]:
 
 def brute_force_verify(inst: DiffFreeInstance) -> bool:
     """Quadratic double-loop oracle: True when difference-free."""
-    members = sorted(inst.members)
-    forb = set(inst.forbidden)
+    members = inst.members.tolist()
+    forb = set(inst.forbidden.tolist())
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             if b - a in forb:
@@ -250,7 +251,7 @@ def greedy(N: int, generators: Sequence[IntPolynomial]) -> DiffFreeInstance:
         for g in generators:
             image_cutoff(g, N - 1)
         raise ResourceLimit(f"greedy construction capped at N <= {GREEDY_LIMIT}, got {N}")
-    F = np.array(forbidden_sumset(generators, N), dtype=np.int64)
+    F = forbidden_sumset(generators, N)
     width = GREEDY_CHUNK
     # bit 0 for the member itself, bit f for each f in F below the width
     near = _bits_from([0, *F[: np.searchsorted(F, width)].tolist()])
@@ -292,7 +293,7 @@ def trivial_multiples(N: int, k: int) -> DiffFreeInstance:
     p = next((c for c in range(hi, lo - 1, -1) if is_prime(c)), None)
     assert p is not None, "Bertrand guarantees a prime in [N^(1/k)/2, N^(1/k)]"
     gens = [IntPolynomial([0] * k + [1])]
-    inst = DiffFreeInstance(N, gens, [x * p for x in range(1, p ** (k - 1) + 1)])
+    inst = DiffFreeInstance(N, gens, range(p, p**k + 1, p))
     assert verify(inst) is None
     return inst
 
@@ -549,7 +550,7 @@ def modular_search(
         verts = np.flatnonzero(~conn & ~np.roll(conn, r))  # away from 0 and r
         best_bits, used, exhausted = _max_independent(
             _adjacency(conn, verts),
-            _bits_from(verts.tolist()),
+            _bits_from(verts),
             best_bits,
             budget - nodes,
             target,
@@ -570,7 +571,7 @@ def modular_search(
             admitted = _greedy_passes(_random_orders(q, seed), _cayley_rows(near, vertices))
             warm = np.flatnonzero(admitted[_pick_restart(admitted.sum(axis=1), target)])
             if len(warm) > size:
-                best_bits = _bits_from((warm - warm[0]).tolist())  # the translate through 0
+                best_bits = _bits_from(warm - warm[0])  # the translate through 0
         adj = _adjacency(near, vertices)
         full = (1 << q) - 1
         rest = full & ~(adj[0] | 1)  # the non-neighbours of 0
@@ -649,7 +650,7 @@ def ruzsa_lift(
         vals = vals[vals <= N]
         pos += 1
     gens = [IntPolynomial([0] * k + [1])]
-    inst = DiffFreeInstance(N, gens, vals[vals >= 1].tolist())
+    inst = DiffFreeInstance(N, gens, vals[vals >= 1])
     bad = verify(inst)
     if bad is not None:
         return ConstructionRejected(violation=bad, q=q, k=k, N=N)

@@ -532,10 +532,6 @@ def choose_roots(
         raise ValueError("zero polynomial has every residue as a root")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if h.degree < 1:
-        return {
-            p: NoRootToDepth(f"constant polynomial has no p-adic root at p={p}") for p in primes
-        }
     if factors is None:
         factors = square_free_decomposition(h)
     out: dict[int, RootCert | Exception] = {}

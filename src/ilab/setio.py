@@ -35,16 +35,20 @@ _OTHER_BREAKS = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _INLINE_HASH = re.compile(r"^[^\S\n]*[^#\s][^\n]*#[^\n]*", re.M)
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """a sorted in place, duplicates dropped (np.unique takes seconds on the
-    millions of members a set file may hold)."""
+def sorted_distinct(values: Iterable[int]) -> np.ndarray:
+    """The distinct values as a new sorted int64 array; an int64 ndarray is sorted in
+    place (np.unique takes seconds on the millions of members a set file may hold)."""
+    a = values if isinstance(values, np.ndarray) else np.fromiter(values, np.int64)
+    a = a.astype(np.int64, copy=False)
     a.sort()
-    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def runs_of(members: Iterable[int]) -> list[tuple[int, int]]:
     """(start, length) of each maximal run of consecutive members, in order."""
-    m = _sorted_distinct(np.fromiter(members, dtype=np.int64))
+    m = sorted_distinct(members)
     first = np.flatnonzero(np.diff(m, prepend=m[:1] - 2) != 1)
     return list(zip(m[first].tolist(), np.diff(first, append=len(m)).tolist()))
 
@@ -85,7 +89,7 @@ def _dfset_members(body: str) -> list[int]:
     # member j of the expansion is j plus its run's start less the members before the run
     members = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     members += np.arange(len(members))
-    return _sorted_distinct(members).tolist()
+    return sorted_distinct(members).tolist()
 
 
 def load_set(path: Union[str, Path]) -> tuple[list[int], Optional[int]]:

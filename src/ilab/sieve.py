@@ -38,6 +38,7 @@ COUNT_SPAN_LIMIT = 2**24
 COUNT_CHUNK = 2**18
 PATTERN_LIMIT = 2**14
 MODULUS_DIGITS = 4000
+_MODULUS_CAP = 10**MODULUS_DIGITS
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class SieveProfile:
         p^gamma up to that prime is past the scan's ROOTS_BRUTE_LIMIT first."""
         # each prime multiplies the modulus by p^gamma >= p, and the primes
         # up to 3 * MODULUS_DIGITS alone reach the cap: none past them is used
-        gammas, modulus, cap = {}, 1, 10**MODULUS_DIGITS
+        gammas, modulus = {}, 1
         primes = primes_up_to(min(int(math.floor(Y)), 3 * MODULUS_DIGITS))
         if primes and g.degree < 2:
             raise ValueError(f"the sieve needs degree >= 2, got {g.degree}")
@@ -70,10 +71,10 @@ class SieveProfile:
         for p in primes:
             gammas[p] = 1 + v_p(G, p)
             modulus *= p ** gammas[p]
-            if modulus >= cap:
+            if modulus >= _MODULUS_CAP:
                 break
         roots = roots_mod(dg, [p**gamma for p, gamma in gammas.items()])
-        if modulus >= cap:
+        if modulus >= _MODULUS_CAP:
             raise ResourceLimit(f"sieve modulus capped at 10^{MODULUS_DIGITS} (reached at p = {p})")
         table = {p: (e, len(roots[p**e]), tuple(roots[p**e])) for p, e in gammas.items()}
         return cls(g=g, Y=Y, table=table, modulus=modulus)

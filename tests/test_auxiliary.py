@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ilab.auxiliary as auxiliary
@@ -14,6 +15,7 @@ from ilab.auxiliary import (
     AuxiliaryFamily,
     ContentAuditReport,
     content_bound_audit,
+    image_cutoff,
     image_elements,
 )
 from ilab.padic import NoRootToDepth, ResourceLimit, RootCert, roots_mod
@@ -236,11 +238,24 @@ class TestContentAudit:
             content_bound_audit(AuxiliaryFamily(QUINTIC), 51)
 
 
+def per_n_image(p, bound):
+    """image_elements as it ran before its chunked evaluation: one
+    IntPolynomial call and one set insert per n."""
+    cutoff = image_cutoff(p, bound)
+    q = p if p.leading > 0 else -p
+    out = set()
+    for n in range(1, cutoff + 1):
+        v = q(n)
+        if 0 < v <= bound:
+            out.add(v)
+    return sorted(out)
+
+
 class TestImageElements:
     def test_examples(self):
-        assert image_elements(X2, 20) == [1, 4, 9, 16]
-        assert image_elements(IntPolynomial((0, 0, -1)), 20) == [1, 4, 9, 16]
-        assert image_elements(parse_poly("2x^2-5x+3"), 30) == [1, 6, 15, 28]
+        assert image_elements(X2, 20).tolist() == [1, 4, 9, 16]
+        assert image_elements(IntPolynomial((0, 0, -1)), 20).tolist() == [1, 4, 9, 16]
+        assert image_elements(parse_poly("2x^2-5x+3"), 30).tolist() == [1, 6, 15, 28]
 
     def test_matches_direct_scan(self):
         rng = random.Random(302)
@@ -259,7 +274,32 @@ class TestImageElements:
                     if 0 < sign * p(n) <= bound
                 }
             )
-            assert image_elements(p, bound) == direct
+            assert image_elements(p, bound).tolist() == direct
+
+    def test_matches_the_per_n_loop_across_chunk_edges(self, monkeypatch):
+        # chunks of 7 put chunk edges inside every cutoff below; bound < 1 has cutoff 0
+        monkeypatch.setattr(auxiliary, "SCAN_BLOCK", 7)
+        fixed = [parse_poly(t) for t in ("x^2-5x+7", "-x^2+5x-7", "x^2", "x-3", "-2x^4+x^3+9")]
+        for p in fixed:
+            for bound in range(-2, 200):
+                got = image_elements(p, bound)
+                assert got.dtype == np.int64 and got.tolist() == per_n_image(p, bound), (p, bound)
+        rng = random.Random(304)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            p = IntPolynomial([rng.randint(-30, 30) for _ in range(k)]
+                              + [rng.choice([-3, -2, -1, 1, 2, 3])])
+            for bound in (0, rng.randint(1, 60), rng.randint(1, 3000)):
+                assert image_elements(p, bound).tolist() == per_n_image(p, bound), (p, bound)
+
+    def test_matches_the_per_n_loop_at_the_block_edge(self):
+        # cutoffs from SCAN_BLOCK - 3 to SCAN_BLOCK + 2
+        block = auxiliary.SCAN_BLOCK
+        cases = [(parse_poly("x-3"), block - 8 + i) for i in range(6)]
+        cases += [(parse_poly("-x^2+5x-7"), (block - 17 + i) ** 2) for i in range(6)]
+        for p, bound in cases:
+            assert image_cutoff(p, bound) in range(block - 3, block + 3)
+            assert image_elements(p, bound).tolist() == per_n_image(p, bound), (p, bound)
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
@@ -268,7 +308,7 @@ class TestImageElements:
     def test_enumeration_guard_is_inclusive(self, monkeypatch):
         # x - 50 at bound 49 walks n = 1 .. 49 + 50 + 2 = 101
         monkeypatch.setattr(auxiliary, "IMAGE_LIMIT", 101)
-        assert image_elements(parse_poly("x-50"), 49) == list(range(1, 50))
+        assert image_elements(parse_poly("x-50"), 49).tolist() == list(range(1, 50))
         monkeypatch.setattr(auxiliary, "IMAGE_LIMIT", 100)
         with pytest.raises(ResourceLimit, match="capped at 100 values of n, got 101"):
             image_elements(parse_poly("x-50"), 49)

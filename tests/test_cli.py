@@ -166,6 +166,13 @@ class TestExitCodes:
              "trivial construction capped at p^(k-1) <= 32768 members"),
             (("sets", "ruzsa", "--B", "0,2", "--q", "5", "--k", "2", "--N", "300000000"),
              "Ruzsa lift capped at N <= 10000000, got 300000000"),
+            # members are int64: N = 2^63 is refused before any image is built
+            (("sets", "verify", "--gens", "x^2", "--set", "{pair}", "--N", str(2**63)),
+             f"sets capped at N < 2^63 (int64 members), got {2**63}"),
+            (("sets", "verify", "--gens", "x^10", "--set", "{pair}", "--N", str(2**70)),
+             f"sets capped at N < 2^63 (int64 members), got {2**70}"),
+            (("sets", "trivial", "--N", str(2**63), "--k", "1"),
+             f"sets capped at N < 2^63 (int64 members), got {2**63}"),
             (("expsum", "audit-sqrt", "--poly", "x^3", "--qmax", "1000000", "--Y", "0"),
              "square-root audit capped at 10000000 residues (sum of q <= q_max), "
              "got 500000500000 for q_max = 1000000"),
@@ -188,7 +195,8 @@ class TestExitCodes:
         ids=["image-greedy", "image-table", "image-verify", "modulus-20000", "modulus-300000",
              "modulus-1e300", "sieve-scan", "sieve-scan-before-cap", "search-exhaustive-cut",
              "image-N-1e400", "greedy-N-past-bitset",
-             "greedy-N-1e13", "trivial-N-1e400", "trivial-past-limit", "ruzsa-N", "audit-sqrt-total",
+             "greedy-N-1e13", "trivial-N-1e400", "trivial-past-limit", "ruzsa-N",
+             "verify-N-2^63", "verify-N-2^70", "trivial-N-2^63", "audit-sqrt-total",
              "aux-audit-dmax", "major-X-1e30", "major-beta0-X-1e200", "dfset-long-run",
              "dfset-run-total"],
     )
@@ -540,6 +548,26 @@ class TestSchema:
             assert payload["optimal"] is optimal
             assert (payload["upper_bound"] == payload["size"]) is optimal
             assert payload["upper_bound"] >= payload["size"]
+
+    @pytest.mark.parametrize(
+        "argv, exponent",
+        [(("--q", "205"), 0.7334), (("--q", "12"), None), (("--q", "1000", "--budget", "2000"), None)],
+        ids=["q205", "q12", "q1000"],
+    )
+    def test_search_exponent_only_where_a_lift_exists(self, validator, capsys, argv, exponent):
+        # the Ruzsa lift needs square-free q: 12 = 2^2 * 3 and 1000 = 2^3 * 5^3 have none
+        code, out = run_cli(capsys, "sets", "search", "--k", "2", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        validator.validate(payload)
+        if exponent is None:
+            assert payload["exponent"] is None
+            assert payload["exponent_reason"] == (
+                f"q = {payload['q']} is not square-free, so no Ruzsa lift exists"
+            )
+        else:
+            assert payload["exponent"] == pytest.approx(exponent, abs=1e-4)
+            assert "exponent_reason" not in payload
 
     def test_selftest_quick_validates(self, validator, capsys):
         # criterion 12 inside selftest runs the search to its target at q = 205

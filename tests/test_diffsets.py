@@ -62,8 +62,8 @@ def fold_bits(members) -> int:
 def shift_and_witness(inst):
     """(a, a', decomposition) from one shift-AND per forbidden value in
     increasing order, lowest a' first; None when difference-free."""
-    A = fold_bits(inst.members)
-    for f in inst.forbidden:
+    A = fold_bits(inst.members.tolist())
+    for f in inst.forbidden.tolist():
         hit = A & (A >> f)
         if hit:
             a_prime = (hit & -hit).bit_length() - 1
@@ -107,7 +107,7 @@ def random_instances(seed, count):
 
 class TestForbiddenSumset:
     def test_single_generator(self):
-        assert forbidden_sumset([X2], 20) == [1, 4, 9, 16]
+        assert forbidden_sumset([X2], 20).tolist() == [1, 4, 9, 16]
 
     def test_two_generators(self):
         # sums of a square and a cube, truncated below 50
@@ -119,7 +119,13 @@ class TestForbiddenSumset:
                 if s + c <= 49
             }
         )
-        assert forbidden_sumset([X2, X3], 50) == expect
+        assert forbidden_sumset([X2, X3], 50).tolist() == expect
+
+    def test_an_empty_sumset_enumerates_no_further_image(self):
+        # x^2 + 1000 has no value below 100, so the second image (past
+        # IMAGE_LIMIT) is never enumerated
+        F = forbidden_sumset([parse_poly("x^2+1000"), parse_poly("x^2-1000000000000x")], 100)
+        assert F.dtype == np.int64 and F.tolist() == []
 
 
 class TestVerify:
@@ -143,6 +149,34 @@ class TestVerify:
             members = [n for n in range(1, N + 1) if rng.random() < 0.35]
             inst = DiffFreeInstance(N, gens, members)
             assert (verify(inst) is None) == brute_force_verify(inst)
+
+
+class TestMembers:
+    def test_any_iterable_gives_the_same_sorted_int64_array(self):
+        narrow = np.array([12, 3, 9, 6, 6], dtype=np.int32)
+        wide = np.array([12, 3, 9, 6, 6], dtype=np.int64)
+        for members in ([3, 6, 9, 12], {12, 9, 6, 3}, range(3, 13, 3), [12, 3, 9, 3, 6, 12],
+                        narrow, wide, (m for m in (6, 12, 3, 9))):
+            inst = DiffFreeInstance(12, [X2], members)
+            assert inst.members.dtype == np.int64 and inst.members.tolist() == [3, 6, 9, 12]
+            assert len(inst) == 4 and inst.density == 4 / 12
+        # an int64 array is sorted in place, not copied; the members never alias it
+        assert narrow.tolist() == [12, 3, 9, 6, 6] and wide.tolist() == [3, 6, 6, 9, 12]
+        assert DiffFreeInstance(5, [X2], []).members.tolist() == []
+
+    @pytest.mark.parametrize("members", [[0, 5], [5, 13], [-(2**70), 5], [5, 2**63], [2**70]],
+                             ids=["zero", "past-N", "past-int64-below", "2^63", "past-int64"])
+    def test_out_of_range_members_keep_the_message(self, members):
+        with pytest.raises(ValueError, match=r"^members must lie in \[1, N\]$"):
+            DiffFreeInstance(12, [X2], members)
+
+    def test_N_guard_names_the_int64_limit(self):
+        top = 2**63 - 1
+        inst = DiffFreeInstance(top, [parse_poly("x^10")], [1, top])
+        assert inst.members.tolist() == [1, top] and verify(inst) is None
+        for N in (2**63, 10**400):
+            with pytest.raises(ResourceLimit, match=rf"^sets capped at N < 2\^63 \(int64 members\), got {N}$"):
+                DiffFreeInstance(N, [X2], [1, 2])
 
 
 class TestPackedBits:
@@ -176,7 +210,7 @@ class TestVerifyDispatch:
             want = None if ref is None else (ref[0] - ref[1], ref[1])
             F = inst.forbidden
             assert _shift_and_hit(inst.bits, F) == want
-            assert _pairwise_hit(sorted(inst.members), F) == want
+            assert _pairwise_hit(inst.members, F) == want
             assert (ref is None) == brute_force_verify(inst)
             checked += 1
             hits += ref is not None

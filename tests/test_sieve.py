@@ -136,6 +136,7 @@ class TestModulusGuard:
     )
     def test_guard_order(self, monkeypatch, poly, message):
         monkeypatch.setattr(sieve, "MODULUS_DIGITS", 10)
+        monkeypatch.setattr(sieve, "_MODULUS_CAP", 10**10)
         monkeypatch.setattr(padic, "ROOTS_BRUTE_LIMIT", 300)
         g = parse_poly(poly)
         assert build_outcome(self.one_call, g, 100) == message
